@@ -591,9 +591,9 @@ class BackendContract(Rule):
         "cache server probe whole sweeps through them), and no method "
         "of it may call oracle entry points (run_pmm, PmmRequest, "
         "request.run()) — backends store payloads; the explorer owns "
-        "evaluation.  The CacheBackend Protocol itself is exempt: the "
-        "hooks are deliberately optional for out-of-tree minimal "
-        "backends."
+        "evaluation.  The hooks are members of the CacheBackend "
+        "Protocol, so no caller carries a per-key fallback; the "
+        "Protocol class itself is exempt because it only declares them."
     )
 
     REQUIRED = {"get", "put", "clear", "__len__"}

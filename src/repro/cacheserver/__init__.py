@@ -6,7 +6,9 @@ over a compact length-prefixed binary protocol built on the ``.rpc``
 record codec.  Worker processes point
 ``Explorer(cache="remote://host:port")`` at it and share every
 evaluation they make; see :class:`~repro.explore.cache.RemoteCache`
-and :class:`~repro.explore.cache.TieredCache` for the client side.
+for the client side.  A client bounds its in-memory hot set with
+``EvaluationCache("remote://host:port", max_entries=N)``: the decoded
+tier sits directly over the remote backend.
 
 The server symbols are re-exported lazily: :mod:`repro.explore.cache`
 imports :mod:`.protocol` for its wire client, and an eager import of

@@ -55,7 +55,7 @@ from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
 from ..dtse.pipeline import PmmRequest, PmmResult
 from ..ir.program import Program
 from ..memlib.library import MemoryLibrary, default_library
-from .cache import REMOTE_SCHEME, CacheBackend, DiskCache, resolve_backend
+from .cache import CacheBackend, DiskCache, resolve_backend
 from .fingerprint import (
     cached_canonical_json,
     canonical_value,
@@ -93,21 +93,24 @@ class EvaluationCache:
     :class:`DiskCache` when constructed with a ``path=`` directory
     (warm across processes and runs), :class:`RemoteCache` when
     ``path=`` is a ``remote://host:port`` URL (warm across *machines*
-    via :mod:`repro.cacheserver`), or any caller-provided backend;
-    ``format=`` picks the :class:`DiskCache` shard format where one is
-    being built.  Full :class:`PmmResult`\\ s are kept in-memory only
-    (they hold schedules and conflict graphs) for callers that need
-    more than the report.
+    via :mod:`repro.cacheserver`), or any caller-provided backend
+    (``path=`` accepts one too); either argument is resolved by
+    :func:`~repro.explore.cache.resolve_backend`.  Full
+    :class:`PmmResult`\\ s are kept in-memory only (they hold schedules
+    and conflict graphs) for callers that need more than the report.
 
-    On top of the backend sits the **decoded-report tier**: a
-    fingerprint -> (:class:`CostReport` | failure) mirror of everything
-    this cache has decoded or stored, consulted before any backend
-    probe.  A warm re-probe costs one dictionary lookup — no payload
-    fetch, no :meth:`CostReport.from_dict` materialization.  The tier
-    shares the backend's ``max_entries`` bound with the same LRU
-    discipline (an unbounded backend keeps it unbounded), so a bounded
-    cache stack stays bounded end to end; ``decoded_hits`` counts the
-    probes it absorbed.
+    On top of the backend sits the **decoded-report tier**, the only
+    in-memory tier of the stack: a fingerprint -> (:class:`CostReport`
+    | failure) mirror of everything this cache has decoded or stored,
+    consulted before any backend probe.  A warm re-probe costs one
+    dictionary lookup — no payload fetch, no
+    :meth:`CostReport.from_dict` materialization.  ``max_entries``
+    bounds the tier and the pinned results with LRU discipline, for any
+    backend (a memory or disk backend built here takes the same bound;
+    without one the tier inherits the backend's own bound, and an
+    unbounded backend keeps it unbounded), so a bounded cache stack —
+    remote-backed ones included — stays bounded end to end;
+    ``decoded_hits`` counts the probes it absorbed.
 
     ``hits``/``misses`` count *evaluations* the explorer resolved from
     cache versus ran through the oracle; the backend's own
@@ -126,31 +129,22 @@ class EvaluationCache:
 
     def __init__(
         self,
-        path: Optional[Union[str, Path]] = None,
+        path: Union[None, str, Path, CacheBackend] = None,
         *,
         backend: Optional[CacheBackend] = None,
         max_entries: Optional[int] = None,
-        format: Optional[str] = None,
     ) -> None:
         if path is not None and backend is not None:
             raise ValueError("pass either path= or backend=, not both")
-        if backend is not None:
-            self.backend = resolve_backend(
-                backend, max_entries=max_entries, format=format
-            )
-        else:
-            # Remote URLs must reach resolve_backend as strings —
-            # Path() would mangle the ``//`` scheme separator.
-            target: Union[None, str, Path]
-            if isinstance(path, str) and path.startswith(REMOTE_SCHEME):
-                target = path
-            else:
-                target = Path(path) if path is not None else None
-            self.backend = resolve_backend(
-                target, max_entries=max_entries, format=format
-            )
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
+        self.backend = resolve_backend(
+            path if backend is None else backend, max_entries=max_entries
+        )
         self.path = self.backend.root if isinstance(self.backend, DiskCache) else None
-        self.max_entries = getattr(self.backend, "max_entries", None)
+        if max_entries is None:
+            max_entries = getattr(self.backend, "max_entries", None)
+        self.max_entries = max_entries
         self.results: "OrderedDict[str, PmmResult]" = OrderedDict()
         #: Serializes every probe/store/counter path (and thereby all
         #: backend access): re-entrant so locked methods can call each
@@ -159,7 +153,7 @@ class EvaluationCache:
         self.hits = 0
         self.misses = 0
         #: The decoded-report tier: fingerprint -> (report, error),
-        #: LRU-ordered, bounded by the backend's ``max_entries``.
+        #: LRU-ordered, bounded by ``max_entries``.
         self._decoded: OrderedDict[
             str, Tuple[Optional[CostReport], Optional[str]]
         ] = OrderedDict()
@@ -182,7 +176,7 @@ class EvaluationCache:
         fingerprint: str,
         entry: Tuple[Optional[CostReport], Optional[str]],
     ) -> None:
-        """Pin a decoded entry with LRU recency under the shared bound."""
+        """Pin a decoded entry with LRU recency under ``max_entries``."""
         decoded = self._decoded
         decoded[fingerprint] = entry
         decoded.move_to_end(fingerprint)
@@ -240,11 +234,10 @@ class EvaluationCache:
         the cache holds; absent fingerprints are simply missing from
         the mapping.  Fingerprints already in the decoded tier never
         reach the backend; the rest go through the backend's
-        ``lookup_many`` bulk hook when it has one (the
+        ``lookup_many`` bulk hook in one call (the
         :class:`~repro.explore.cache.DiskCache` version probes a warm
-        sweep in one directory pass) with a per-key
-        :meth:`~repro.explore.cache.CacheBackend.get` fallback, and
-        their decoded entries fill the tier in bulk.
+        sweep in one directory pass), and their decoded entries fill
+        the tier in bulk.
         """
         with self.lock:
             decoded = self._decoded
@@ -260,32 +253,19 @@ class EvaluationCache:
                     remaining.append(fingerprint)
             if not remaining:
                 return resolved
-            bulk = getattr(self.backend, "lookup_many", None)
-            if bulk is not None:
-                payloads = bulk(remaining)
-            else:
-                payloads = {}
-                for fingerprint in remaining:
-                    payload = self.backend.get(fingerprint)
-                    if payload is not None:
-                        payloads[fingerprint] = payload
+            payloads = self.backend.lookup_many(remaining)
             for fingerprint, payload in payloads.items():
                 resolved[fingerprint] = self._decode_payload(fingerprint, payload)
             return resolved
 
     def store_many(self, reports: Mapping[str, CostReport]) -> None:
-        """Bulk report store, via the backend's ``store_many`` if any."""
+        """Bulk report store through the backend's ``store_many``."""
         payloads = {
             fingerprint: report.to_dict()
             for fingerprint, report in reports.items()
         }
         with self.lock:
-            bulk = getattr(self.backend, "store_many", None)
-            if bulk is not None:
-                bulk(payloads)
-            else:
-                for fingerprint, payload in payloads.items():
-                    self.backend.put(fingerprint, payload)
+            self.backend.store_many(payloads)
             for fingerprint, report in reports.items():
                 self._remember(fingerprint, (report, None))
 
@@ -308,7 +288,7 @@ class EvaluationCache:
 
         Results hold schedules and conflict graphs, so an unbounded
         result store is the heaviest possible leak for long strategy
-        runs over a bounded backend; the same ``max_entries`` bound and
+        runs over a bounded cache; the same ``max_entries`` bound and
         recency discipline apply.  An already-pinned fingerprint keeps
         its (deterministically identical) result and just refreshes
         recency.
@@ -382,7 +362,11 @@ class EvaluationCache:
             self.decoded_hits = 0
 
     def stats(self) -> str:
-        return f"{len(self.backend)} entries, {self.hits} hits, {self.misses} misses"
+        with self.lock:
+            return (
+                f"{len(self.backend)} entries, {self.hits} hits, "
+                f"{self.misses} misses"
+            )
 
     def stats_dict(self) -> Dict[str, Any]:
         """Machine-readable counters (perf reports embed this)."""
@@ -783,21 +767,17 @@ class Explorer:
         ``workers > 1`` — tiny sweeps never pay pool spin-up.  Once the
         pool exists, any batch of two or more misses uses it.
     cache:
-        Shared :class:`EvaluationCache`, a bare
+        Shared :class:`EvaluationCache`, or anything one accepts (and
+        wraps in a private one): a bare
         :class:`~repro.explore.cache.CacheBackend`, a directory path
-        (wrapped in a :class:`~repro.explore.cache.DiskCache` so the
-        memo survives across processes and runs), or a
+        (a :class:`~repro.explore.cache.DiskCache`, so the memo
+        survives across processes and runs), or a
         ``remote://host:port`` URL (a
         :class:`~repro.explore.cache.RemoteCache` client of the
         :mod:`repro.cacheserver` network tier, so the memo is shared
         across machines; an optional ``/local/dir`` path suffix adds a
         read-through fallback for server outages).  A private in-memory
         cache is created when omitted.
-    cache_format:
-        Shard format (``"compact"``/``"json"``) forwarded wherever the
-        ``cache`` argument builds a
-        :class:`~repro.explore.cache.DiskCache`; invalid with backends
-        that have no disk store to configure.
     on_error:
         ``"raise"`` (default) propagates oracle failures; ``"skip"``
         drops infeasible points from the batch instead, recording them
@@ -822,7 +802,6 @@ class Explorer:
         workers: int = 1,
         min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
         cache: Union[None, str, Path, CacheBackend, EvaluationCache] = None,
-        cache_format: Optional[str] = None,
         area_weight: float = DEFAULT_AREA_WEIGHT,
         seed: int = 0,
         on_error: str = "raise",
@@ -837,21 +816,9 @@ class Explorer:
         self.space = space
         self.workers = workers
         self.min_parallel_batch = min_parallel_batch
-        if isinstance(cache, EvaluationCache):
-            if cache_format is not None:
-                raise ValueError(
-                    "cache_format cannot be combined with a shared "
-                    "EvaluationCache; its backend already owns the format"
-                )
-            self.cache = cache
-        elif isinstance(cache, str):
-            # Strings (paths and remote:// URLs alike) go through the
-            # facade so its remote-URL handling applies.
-            self.cache = EvaluationCache(cache, format=cache_format)
-        else:
-            self.cache = EvaluationCache(
-                backend=resolve_backend(cache, format=cache_format)
-            )
+        self.cache = (
+            cache if isinstance(cache, EvaluationCache) else EvaluationCache(cache)
+        )
         self.area_weight = area_weight
         self.seed = seed
         self.on_error = on_error
@@ -1413,7 +1380,7 @@ class Explorer:
 
         The canonical entry point since the driver refactor: every
         keyword forwards to :class:`SearchDriver`.  ``explorer.run(s)``
-        and ``s.run(explorer)`` are thin shims over this.
+        is a thin shim over this.
         """
         driver = SearchDriver(
             self,

@@ -6,8 +6,7 @@ each round the driver asks :meth:`SearchStrategy.propose` for the next
 batch, evaluates it through the :class:`~repro.explore.engine.Explorer`
 (caching, parallelism, sharding and budget enforcement live there, so
 every strategy gets them for free), and feeds the records back through
-:meth:`SearchStrategy.observe`.  ``strategy.run(explorer)`` remains as
-a thin compat shim over ``explorer.explore(strategy)``.
+:meth:`SearchStrategy.observe`.
 
 * :class:`ExhaustiveSweep` — the whole cartesian product (or a given
   subset), proposed in bounded batches from a lazy iterator so memory
@@ -48,7 +47,6 @@ from .engine import (
     ExplorationResult,
     Explorer,
     Proposal,
-    SearchBudget,
 )
 from .pareto import pareto_front, pareto_indices
 from .space import DesignPoint, DesignSpace
@@ -89,15 +87,6 @@ class SearchStrategy:
 
     def finalize(self, result: ExplorationResult) -> None:
         """Stamp strategy-specific fields onto the finished result."""
-
-    def run(
-        self,
-        explorer: Explorer,
-        *,
-        budget: Optional[SearchBudget] = None,
-    ) -> ExplorationResult:
-        """Compat shim: drive this strategy through the budgeted loop."""
-        return explorer.explore(self, budget=budget)
 
     def _result(self, explorer: Explorer) -> ExplorationResult:
         space_name = explorer.space.name if explorer.space is not None else ""

@@ -1,4 +1,4 @@
-"""The shared cache tier end to end: server, RemoteCache, tiering.
+"""The shared cache tier end to end: server, RemoteCache, decoded tier.
 
 Covers the acceptance scenarios for the network tier: two clients
 sharing one warm corpus with zero duplicate oracle evaluations,
@@ -14,15 +14,15 @@ import pytest
 
 from repro.cacheserver import protocol
 from repro.cacheserver.server import CacheServerConfig, CacheServerThread
-from repro.costs.report import frame_length, pack_frame
+from repro.costs.report import CostReport, frame_length, pack_frame
 from repro.explore import (
     DiskCache,
+    EvaluationCache,
     ExhaustiveSweep,
     ExplorationResult,
     Explorer,
     MemoryCache,
     RemoteCache,
-    TieredCache,
 )
 
 
@@ -346,15 +346,16 @@ class TestFallback:
 # Mixed-format corpus over the wire
 # ----------------------------------------------------------------------
 class TestMixedFormatCorpus:
-    def test_remote_reads_match_local_reads(self, tmp_path):
+    def test_remote_reads_match_local_reads(self, tmp_path, legacy_json_shard):
         root = tmp_path / "corpus"
-        compact_writer = DiskCache(root, format="compact")
-        json_writer = DiskCache(root, format="json")
+        compact_writer = DiskCache(root)
         expected = {}
         for i in range(6):
             payload = {"i": i, "nested": {"vals": [i, i * 2.5]}}
-            writer = compact_writer if i % 2 == 0 else json_writer
-            writer.put(f"key{i}", payload)
+            if i % 2 == 0:
+                compact_writer.put(f"key{i}", payload)
+            else:
+                legacy_json_shard(root, f"key{i}", payload)
             expected[f"key{i}"] = payload
 
         config = CacheServerConfig(host="127.0.0.1", port=0, cache_dir=root)
@@ -366,35 +367,30 @@ class TestMixedFormatCorpus:
 
 
 # ----------------------------------------------------------------------
-# Tier composition
+# The decoded tier directly over the remote backend
 # ----------------------------------------------------------------------
-class TestTieredCache:
-    def test_promotion_and_write_through(self, server):
-        front = MemoryCache(max_entries=8)
-        remote = make_client(server)
-        tiered = TieredCache((front, remote))
-        assert tiered.max_entries == 8
+class TestDecodedTierOverRemote:
+    def test_decoded_tier_absorbs_repeat_probes(self, server):
+        writer = EvaluationCache(server.url)
+        reports = {f"k{i:02d}": CostReport(label=f"r{i}") for i in range(12)}
+        writer.store_many(reports)
+        assert writer.flush(timeout=10)
+        writer.close_backend()
 
-        tiered.put("k", {"v": 1})
-        assert remote.flush(timeout=10)
-        assert front.get("k") == {"v": 1}  # write-through hit the front
+        cache = EvaluationCache(server.url, max_entries=8)
+        remote = cache.backend
+        assert isinstance(remote, RemoteCache)  # the decoded tier sits on it
+        assert len(cache.lookup_many(sorted(reports))) == 12
+        assert cache.decoded_entries == 8  # bounded past 8 distinct keys
 
-        front.clear()
-        assert tiered.get("k") == {"v": 1}  # served by the remote tier
-        assert front.get("k") == {"v": 1}  # ... and promoted forward
-        tiered.close()
-
-    def test_front_tier_absorbs_repeat_probes(self, server):
-        remote = make_client(server)
-        tiered = TieredCache((MemoryCache(max_entries=8), remote))
-        tiered.put("k", {"v": 2})
-        assert remote.flush(timeout=10)
-        before = remote.stats.hits + remote.stats.misses
+        requested = server.core.keys_requested
+        probes = remote.stats.hits + remote.stats.misses
         for _ in range(5):
-            assert tiered.get("k") == {"v": 2}
-        assert remote.stats.hits + remote.stats.misses == before
-        tiered.close()
-
-    def test_empty_tiers_rejected(self):
-        with pytest.raises(ValueError):
-            TieredCache(())
+            report, error = cache.lookup("k11")
+            assert report is not None and report.label == "r11"
+            assert error is None
+        assert cache.decoded_hits == 5
+        assert remote.stats.hits + remote.stats.misses == probes
+        assert server.core.keys_requested == requested
+        assert cache.decoded_entries <= 8
+        cache.close_backend()

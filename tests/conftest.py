@@ -1,5 +1,8 @@
 """Shared fixtures: profiles and studies are expensive, build them once."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.apps.btpc import BtpcConstraints, build_btpc_program, profile_btpc
@@ -49,3 +52,23 @@ def registry_sweeps():
         explorer = Explorer.for_app(name, on_error="skip")
         sweeps[name] = (explorer.run(ExhaustiveSweep()), explorer)
     return sweeps
+
+
+def _write_legacy_json_shard(root, key, payload):
+    """Write ``<root>/<key[:2]>/<key>.json`` as the pre-compact writer did.
+
+    ``DiskCache`` only writes compact ``.rpc`` records; this reproduces
+    a legacy JSON shard byte for byte so the read-compatibility tests
+    can build old cache directories.
+    """
+    shard = Path(root) / key[:2]
+    shard.mkdir(parents=True, exist_ok=True)
+    path = shard / f"{key}.json"
+    path.write_bytes(json.dumps(dict(payload), ensure_ascii=False).encode("utf-8"))
+    return path
+
+
+@pytest.fixture()
+def legacy_json_shard():
+    """The legacy-shard writer: ``legacy_json_shard(root, key, payload)``."""
+    return _write_legacy_json_shard

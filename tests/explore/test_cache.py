@@ -5,7 +5,6 @@ integration tests at the bottom drive a real FIR design space through
 the explorer, including a warm-start from a *separate process*.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -27,7 +26,6 @@ from repro.explore.cache import (
     COMPACT_SUFFIX,
     JSON_SUFFIX,
     RemoteCache,
-    TieredCache,
     parse_remote_url,
     resolve_backend,
 )
@@ -110,19 +108,6 @@ def test_disk_cache_shards_by_prefix(tmp_path):
     assert (tmp_path / "ef" / f"efgh{COMPACT_SUFFIX}").exists()
 
 
-def test_disk_cache_json_format_writes_legacy_shards(tmp_path):
-    cache = DiskCache(tmp_path, format="json")
-    cache.put("abcd", _payload(1))
-    path = tmp_path / "ab" / "abcd.json"
-    assert path.exists()
-    assert json.loads(path.read_text(encoding="utf-8")) == {"value": 1}
-
-
-def test_disk_cache_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        DiskCache(tmp_path, format="msgpack")
-
-
 def test_disk_cache_compact_records_carry_magic(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
@@ -180,13 +165,15 @@ def test_disk_cache_clear_removes_entries(tmp_path):
     assert DiskCache(tmp_path).get("abcd") is None
 
 
-def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
+def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(
+    tmp_path, legacy_json_shard
+):
     """The clear() fix: shards written by siblings since the last
     refresh are cleared too, and emptied shard dirs are removed."""
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
-    sibling = DiskCache(tmp_path, format="json")
-    sibling.put("efgh", _payload(2))  # unknown to `cache` until a refresh
+    # A legacy sibling's shard, unknown to `cache` until a refresh.
+    legacy_json_shard(tmp_path, "efgh", _payload(2))
     cache.clear()
     assert len(cache) == 0
     assert sorted(tmp_path.iterdir()) == []  # no shard dirs left behind
@@ -260,10 +247,10 @@ def test_disk_cache_lookup_many_tolerates_corrupt_shards(tmp_path):
     assert not shard.exists()
 
 
-def test_disk_cache_lookup_many_mixed_format_directory(tmp_path):
+def test_disk_cache_lookup_many_mixed_format_directory(tmp_path, legacy_json_shard):
     """Legacy JSON shards and compact records resolve side by side."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.store_many({"aaaa": _payload(1), "bbbb": _payload(2)})
+    legacy_json_shard(tmp_path, "aaaa", _payload(1))
+    legacy_json_shard(tmp_path, "bbbb", _payload(2))
     compact = DiskCache(tmp_path)
     compact.store_many({"cccc": _payload(3), "dddd": _payload(4)})
     fresh = DiskCache(tmp_path)
@@ -284,12 +271,13 @@ def test_disk_cache_lookup_many_mixed_format_directory(tmp_path):
     assert again.get("cccc") == {"value": 3}
 
 
-def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(tmp_path):
+def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(
+    tmp_path, legacy_json_shard
+):
     """A truncated legacy .json next to healthy compact records is
     tolerated exactly like a corrupt compact record, in get and in
     lookup_many, with the same stats accounting."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("aaaa", _payload(1))
+    legacy_json_shard(tmp_path, "aaaa", _payload(1))
     compact = DiskCache(tmp_path)
     compact.put("cccc", _payload(3))
     (tmp_path / "aa" / "aaaa.json").write_text("{truncated", encoding="utf-8")
@@ -299,20 +287,20 @@ def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(tmp_path):
     assert fresh.stats.misses == 1
     assert fresh.stats.hits == 1
     assert not (tmp_path / "aa" / "aaaa.json").exists()
-    other = DiskCache(tmp_path, format="json")
-    other.put("bbbb", _payload(2))
+    legacy_json_shard(tmp_path, "bbbb", _payload(2))
     (tmp_path / "bb" / "bbbb.json").write_text("[1, 2]", encoding="utf-8")
     probe = DiskCache(tmp_path)
     assert probe.get("bbbb") is None
     assert probe.stats.corrupt == 1
 
 
-def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path):
+def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(
+    tmp_path, legacy_json_shard
+):
     """A corrupt record in one format must not destroy the entry when a
     healthy shard of the other format exists: only the bad file is
     discarded, and the probe still resolves."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("abcd", _payload(1))
+    legacy_json_shard(tmp_path, "abcd", _payload(1))
     bad = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
     bad.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
     fresh = DiskCache(tmp_path)  # indexes the newer (corrupt) shard first
@@ -325,17 +313,36 @@ def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path)
     assert fresh.lookup_many(["abcd"]) == {"abcd": _payload(1)}
 
 
-def test_disk_cache_put_supersedes_other_format_shard(tmp_path):
+def test_disk_cache_put_supersedes_other_format_shard(tmp_path, legacy_json_shard):
     """Rewriting an entry removes its other-format shard, so one key
     can never be backed by two live files."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("abcd", _payload(1))
+    legacy_json_shard(tmp_path, "abcd", _payload(1))
     compact = DiskCache(tmp_path)
     compact.put("abcd", _payload(2))
     assert not (tmp_path / "ab" / "abcd.json").exists()
     assert (tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}").exists()
     assert DiskCache(tmp_path).get("abcd") == {"value": 2}
     assert len(DiskCache(tmp_path)) == 1
+
+
+def test_disk_cache_rewrite_over_legacy_shards_leaves_only_rpc(
+    tmp_path, legacy_json_shard
+):
+    """Both write paths replace a legacy .json shard with one .rpc
+    record: no JSON is ever written, and nothing stale is left."""
+    legacy_json_shard(tmp_path, "abcd", _payload(1))
+    legacy_json_shard(tmp_path, "abef", _payload(2))
+    cache = DiskCache(tmp_path)  # indexes both keys under .json
+    cache.put("abcd", _payload(3))
+    cache.store_many({"abef": _payload(4)})
+    names = sorted(path.name for path in (tmp_path / "ab").iterdir())
+    assert names == [f"abcd{COMPACT_SUFFIX}", f"abef{COMPACT_SUFFIX}"]
+    fresh = DiskCache(tmp_path)
+    assert fresh.lookup_many(["abcd", "abef"]) == {
+        "abcd": _payload(3),
+        "abef": _payload(4),
+    }
+    assert fresh.stats.corrupt == 0
 
 
 def test_disk_cache_lookup_many_sees_sibling_writes(tmp_path):
@@ -366,40 +373,6 @@ def test_evaluation_cache_lookup_many_decodes_failures(tmp_path):
     report, error = resolved["bad"]
     assert report is None and error == "infeasible corner"
     assert "absent" not in resolved
-
-
-def test_evaluation_cache_bulk_falls_back_without_backend_hooks():
-    class MinimalBackend:
-        """A protocol-minimal backend: no bulk hooks at all."""
-
-        def __init__(self):
-            from repro.api import CacheStats
-
-            self.stats = CacheStats()
-            self._entries = {}
-
-        def get(self, key):
-            return self._entries.get(key)
-
-        def put(self, key, payload):
-            self._entries[key] = dict(payload)
-
-        def __len__(self):
-            return len(self._entries)
-
-        def clear(self):
-            self._entries.clear()
-
-    shared = EvaluationCache(backend=MinimalBackend())
-    shared.backend.put("good", {"label": "x", "memories": []})
-    resolved = shared.lookup_many(["good", "absent"])
-    assert set(resolved) == {"good"}
-    # store_many degrades to per-key puts.
-    from repro.costs.report import CostReport
-
-    report = CostReport.from_dict({"label": "y", "memories": []})
-    shared.store_many({"k1": report, "k2": report})
-    assert len(shared.backend) == 3
 
 
 def test_negative_entries_round_trip_through_compact_format(tmp_path):
@@ -482,6 +455,21 @@ def test_decoded_tier_cleared_with_cache():
     assert shared.decoded_entries == 0
     assert shared.decoded_hits == 0
     assert shared.lookup("good") == (None, None)
+
+
+def test_stats_reads_backend_under_the_lock():
+    """stats() honours the facade contract: backend traffic (its
+    __len__ included) runs under the cache lock."""
+
+    class LockCheckingBackend(MemoryCache):
+        def __len__(self):
+            assert shared.lock._is_owned(), "backend read outside the lock"
+            return super().__len__()
+
+    shared = EvaluationCache(backend=LockCheckingBackend())
+    shared.backend.put("good", {"label": "x", "memories": []})
+    assert shared.stats() == "1 entries, 0 hits, 0 misses"
+    assert shared.stats_dict()["entries"] == 1
 
 
 def test_stats_dict_reports_decoded_tier():
@@ -622,7 +610,7 @@ def test_disk_cache_get_sees_sibling_writes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# resolve_backend: remote URLs and format plumbing
+# resolve_backend: remote URLs
 # ----------------------------------------------------------------------
 def test_parse_remote_url_variants():
     assert parse_remote_url("remote://host:123") == ("host", 123, None)
@@ -642,33 +630,16 @@ def test_resolve_backend_remote_variants(tmp_path):
     assert backend.fallback is None
     backend.close(timeout=0.1)
 
-    tiered = resolve_backend("remote://127.0.0.1:1", max_entries=16)
-    assert isinstance(tiered, TieredCache)
-    assert isinstance(tiered.tiers[0], MemoryCache)
-    assert isinstance(tiered.tiers[1], RemoteCache)
-    assert tiered.max_entries == 16
-    tiered.close()
+    # max_entries bounds only local stores; the server bounds the corpus.
+    bounded = resolve_backend("remote://127.0.0.1:1", max_entries=16)
+    assert isinstance(bounded, RemoteCache)
+    bounded.close(timeout=0.1)
 
     root = tmp_path / "fb"
-    with_fallback = resolve_backend(f"remote://127.0.0.1:1{root}", format="json")
+    with_fallback = resolve_backend(f"remote://127.0.0.1:1{root}")
     assert isinstance(with_fallback.fallback, DiskCache)
-    assert with_fallback.fallback.format == "json"
+    assert with_fallback.fallback.root == root
     with_fallback.close(timeout=0.1)
-
-    # format needs a disk store to configure.
-    with pytest.raises(ValueError):
-        resolve_backend("remote://127.0.0.1:1", format="json")
-    with pytest.raises(ValueError):
-        resolve_backend(None, format="json")
-    with pytest.raises(ValueError):
-        resolve_backend(MemoryCache(), format="json")
-
-
-def test_resolve_backend_forwards_format_to_disk(tmp_path):
-    backend = resolve_backend(tmp_path / "c", format="json")
-    backend.put("k", _payload(1))
-    (shard,) = [p for p in (tmp_path / "c").rglob("k*") if p.is_file()]
-    assert shard.suffix == JSON_SUFFIX
 
 
 def test_evaluation_cache_remote_url_passthrough():
@@ -676,64 +647,6 @@ def test_evaluation_cache_remote_url_passthrough():
     assert isinstance(cache.backend, RemoteCache)
     assert cache.path is None  # no disk root to report
     cache.close_backend()
-
-
-def test_evaluation_cache_forwards_format(tmp_path):
-    cache = EvaluationCache(tmp_path / "c", format="json")
-    assert cache.backend.format == "json"
-
-
-def test_explorer_cache_format_plumbing(tmp_path):
-    explorer = Explorer(cache=str(tmp_path / "c"), cache_format="json")
-    assert explorer.cache.backend.format == "json"
-    with pytest.raises(ValueError):
-        Explorer(cache=EvaluationCache(), cache_format="json")
-    with pytest.raises(ValueError):
-        Explorer(cache_format="json")  # in-memory backend, no format
-
-
-# ----------------------------------------------------------------------
-# TieredCache over local tiers (no server needed)
-# ----------------------------------------------------------------------
-def test_tiered_cache_promotes_and_writes_through(tmp_path):
-    front = MemoryCache(max_entries=4)
-    back = DiskCache(tmp_path / "c")
-    tiered = TieredCache((front, back))
-
-    tiered.put("k", _payload(1))
-    assert front.get("k") == _payload(1)
-    assert back.get("k") == _payload(1)
-
-    front.clear()
-    assert tiered.get("k") == _payload(1)  # back tier answers...
-    assert front.get("k") == _payload(1)  # ...and the hit is promoted
-
-    assert len(tiered) == 1  # deepest tier is authoritative
-    assert tiered.stats.hits == 1
-
-
-def test_tiered_cache_lookup_many_merges_tiers(tmp_path):
-    front = MemoryCache()
-    back = DiskCache(tmp_path / "c")
-    back.put("deep", _payload(1))
-    tiered = TieredCache((front, back))
-    front.put("shallow", _payload(2))
-
-    found = tiered.lookup_many(["shallow", "deep", "absent"])
-    assert found == {"shallow": _payload(2), "deep": _payload(1)}
-    assert tiered.stats.hits == 2
-    assert tiered.stats.misses == 1
-    assert front.get("deep") == _payload(1)  # promoted by the bulk path
-
-
-def test_tiered_cache_clear_clears_all_tiers(tmp_path):
-    front = MemoryCache()
-    back = DiskCache(tmp_path / "c")
-    tiered = TieredCache((front, back))
-    tiered.put("k", _payload(1))
-    tiered.clear()
-    assert len(front) == 0
-    assert len(back) == 0
 
 
 # ----------------------------------------------------------------------
@@ -897,19 +810,21 @@ def test_disk_cache_warm_start_across_processes(tmp_path):
         assert file.read_bytes().startswith(COMPACT_MAGIC)
 
 
-def test_preexisting_json_cache_dir_stays_warm_under_compact(tmp_path):
+def test_preexisting_json_cache_dir_stays_warm_under_compact(
+    tmp_path, legacy_json_shard
+):
     """The migration guarantee: a cache directory written entirely in
-    the legacy JSON format is read by the compact-default codec with
-    zero oracle re-evaluations."""
+    the legacy JSON format is read by the compact codec with zero
+    oracle re-evaluations."""
     cache_dir = tmp_path / "cache"
-    legacy = Explorer(
-        _space(), cache=EvaluationCache(backend=DiskCache(cache_dir, format="json"))
-    )
+    legacy = Explorer(_space())
     legacy.run(ExhaustiveSweep())
     assert legacy.cache.misses == 4
+    for key in legacy.cache.backend.keys():
+        legacy_json_shard(cache_dir, key, legacy.cache.backend.get(key))
     assert len(sorted(cache_dir.rglob("*.json"))) == 4
 
-    modern = Explorer(_space(), cache=cache_dir)  # compact-default DiskCache
+    modern = Explorer(_space(), cache=cache_dir)
     modern.run(ExhaustiveSweep())
     assert modern.cache.misses == 0
     assert modern.cache.hits == 4
