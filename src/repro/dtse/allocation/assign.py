@@ -198,8 +198,11 @@ class _Evaluator:
 
     # ------------------------------------------------------------------
     def rates(self, groups: Iterable[str]) -> Tuple[float, float]:
-        reads = sum(self.counts[g].reads for g in groups)
-        writes = sum(self.counts[g].writes for g in groups)
+        # Sorted: float sums must not depend on set iteration order,
+        # which follows PYTHONHASHSEED.
+        ordered = sorted(groups)
+        reads = sum(self.counts[g].reads for g in ordered)
+        writes = sum(self.counts[g].writes for g in ordered)
         return reads / self.frame_time_s, writes / self.frame_time_s
 
     def evaluate(self, groups: FrozenSet[str], offchip: bool) -> Optional[MemoryBin]:
@@ -223,7 +226,7 @@ class _Evaluator:
             accesses = 0.0
             streams = 0
             sequential = True
-            for group in groups:
+            for group in sorted(groups):  # hash-seed independent sums
                 entry = load.per_group.get(group)
                 if entry is None:
                     continue

@@ -1,6 +1,11 @@
 """Storage cycle budget distribution (SCBD)."""
 
-from .balancing import BodySchedule, balance
+from .balancing import (
+    BodySchedule,
+    balance,
+    clear_schedule_memo,
+    schedule_memo_info,
+)
 from .conflict import ConcurrencySlot, ConflictGraph
 from .distribution import BudgetDistribution, distribute
 from .flowgraph import BodyFlowGraph, InfeasibleBudget, Occurrence
@@ -14,5 +19,7 @@ __all__ = [
     "InfeasibleBudget",
     "Occurrence",
     "balance",
+    "clear_schedule_memo",
     "distribute",
+    "schedule_memo_info",
 ]

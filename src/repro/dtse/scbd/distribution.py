@@ -19,6 +19,7 @@ from typing import Dict, Optional
 
 from ...ir.program import Program
 from .balancing import (
+    PORT_VIOLATION_PENALTY,
     BodySchedule,
     PortCapFn,
     WeightFn,
@@ -99,8 +100,6 @@ def distribute(
     # Phase 1 — feasibility: clear port-cap violations everywhere before
     # optimizing anything, visiting the cheapest (fewest-iterations)
     # bodies first so no body starves the others of budget.
-    from .balancing import PORT_VIOLATION_PENALTY
-
     progress = True
     while progress:
         progress = False
@@ -116,10 +115,11 @@ def distribute(
             if graph.iterations > spare:
                 continue
             candidate = balance(graph, budgets[name] + 1, weight_fn, cap_fn)
-            if candidate.cost(weight_fn, cap_fn) < costs[name] - 1e-9:
+            cost = candidate.cost(weight_fn, cap_fn)
+            if cost < costs[name] - 1e-9:
                 budgets[name] += 1
                 schedules[name] = candidate
-                costs[name] = candidate.cost(weight_fn, cap_fn)
+                costs[name] = cost
                 used += graph.iterations
                 progress = True
                 break

@@ -5,15 +5,23 @@ time: its access sites become *occurrences* (a site executing more than
 once per iteration expands into several occurrences), dependence edges
 carry over, and the scheduler packs occurrences into the body's cycle
 budget.
+
+Each graph also carries an *index-interned* view for the balancing
+kernel: occurrence ``i`` is ``occurrences[i]``, and neighbour lists,
+topological order, ASAP cycles, depths to the sinks, site chains, group
+ids and exclusive-class co-fire relations are precomputed over those
+indices once per graph.  :attr:`BodyFlowGraph.content_key` identifies a
+graph by content, so schedules memoized for one graph serve every graph
+built from an identical loop body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from ...ir.loops import LoopNest
+from ...ir.loops import LoopNest, are_exclusive
 from ...ir.types import AccessKind
 
 
@@ -40,6 +48,30 @@ class Occurrence:
     def expected(self) -> float:
         """Expected accesses per body iteration."""
         return self.probability * self.share
+
+
+class ContentKey:
+    """A tuple wrapper that hashes once: memo keys are probed often."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ContentKey):
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
+
+    def __reduce__(self):
+        # Rehash on unpickling: string hashes differ between processes.
+        return (ContentKey, (self.parts,))
 
 
 class BodyFlowGraph:
@@ -107,9 +139,17 @@ class BodyFlowGraph:
                 pred_sets[dst].add(src)
         self.preds = {label: frozenset(srcs) for label, srcs in pred_sets.items()}
         self.succs: Dict[str, FrozenSet[str]] = self._invert(self.preds)
-        self._by_label = {occ.label: occ for occ in self.occurrences}
         self._depth_from_source = self._longest_paths(self.preds)
         self._depth_to_sink = self._longest_paths(self.succs)
+        self._intern()
+        self._signatures: Dict[Tuple[Callable, Callable], ContentKey] = {}
+
+    def __getstate__(self) -> dict:
+        # The signature memo is keyed by (often local) functions, which
+        # do not pickle; it refills on demand.
+        state = self.__dict__.copy()
+        state["_signatures"] = {}
+        return state
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -136,9 +176,114 @@ class BodyFlowGraph:
             visit(label)
         return depth
 
+    def _intern(self) -> None:
+        """Build the index-interned view the balancing kernel runs on.
+
+        Neighbour index lists keep the iteration order of :attr:`preds`
+        and :attr:`succs`, so index-based code visits neighbours in the
+        same order as label-based code.
+        """
+        occurrences = self.occurrences
+        index = {occ.label: i for i, occ in enumerate(occurrences)}
+        self.index: Dict[str, int] = index
+        self.pred_indices: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(index[src] for src in self.preds[occ.label])
+            for occ in occurrences
+        )
+        self.succ_indices: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(index[dst] for dst in self.succs[occ.label])
+            for occ in occurrences
+        )
+        self.topological: Tuple[int, ...] = tuple(
+            sorted(
+                range(len(occurrences)),
+                key=lambda i: (
+                    self._depth_from_source[occurrences[i].label],
+                    occurrences[i].label,
+                ),
+            )
+        )
+        self.asap_cycles: Tuple[int, ...] = tuple(
+            self._depth_from_source[occ.label] for occ in occurrences
+        )
+        self.sink_depths: Tuple[int, ...] = tuple(
+            self._depth_to_sink[occ.label] for occ in occurrences
+        )
+        chains: Dict[str, List[int]] = {}
+        for i, occ in enumerate(occurrences):
+            chains.setdefault(occ.site, []).append(i)
+        #: Occurrence indices of every multi-occurrence site, in chain order.
+        self.site_chains: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(chain) for chain in chains.values() if len(chain) >= 2
+        )
+        self.expected: Tuple[float, ...] = tuple(occ.expected for occ in occurrences)
+        #: Distinct basic groups, sorted; ``group_ids[i]`` indexes it.
+        self.groups: Tuple[str, ...] = tuple(sorted({occ.group for occ in occurrences}))
+        group_index = {group: k for k, group in enumerate(self.groups)}
+        self.group_ids: Tuple[int, ...] = tuple(
+            group_index[occ.group] for occ in occurrences
+        )
+        tags = sorted({occ.exclusive_class for occ in occurrences})
+        tag_index = {tag: k for k, tag in enumerate(tags)}
+        self.tag_ids: Tuple[int, ...] = tuple(
+            tag_index[occ.exclusive_class] for occ in occurrences
+        )
+        #: ``tag_cofire[s][t]``: accesses tagged s and t can fire together.
+        self.tag_cofire: Tuple[Tuple[bool, ...], ...] = tuple(
+            tuple(not are_exclusive(a or None, b or None) for b in tags)
+            for a in tags
+        )
+        self.content_key = ContentKey(
+            (
+                self.nest_name,
+                self.iterations,
+                tuple(
+                    (
+                        occ.label,
+                        occ.site,
+                        occ.group,
+                        occ.kind,
+                        occ.probability,
+                        occ.share,
+                        occ.exclusive_class,
+                    )
+                    for occ in occurrences
+                ),
+                self.succ_indices,
+            )
+        )
+
+    def cost_signature(
+        self,
+        weight_fn: Callable[[str, str], float],
+        cap_fn: Callable[[str], int],
+    ) -> ContentKey:
+        """``weight_fn`` over this body's sorted group pairs plus ``cap_fn``
+        per group: everything balancing reads of the two functions.
+
+        Row ``x`` holds ``weight_fn(groups[x], groups[y])`` for
+        ``y >= x``.  Memoized per function pair, so both functions must
+        be pure.
+        """
+        key = (weight_fn, cap_fn)
+        signature = self._signatures.get(key)
+        if signature is None:
+            groups = self.groups
+            signature = ContentKey(
+                (
+                    tuple(
+                        tuple(weight_fn(a, b) for b in groups[x:])
+                        for x, a in enumerate(groups)
+                    ),
+                    tuple(cap_fn(group) for group in groups),
+                )
+            )
+            self._signatures[key] = signature
+        return signature
+
     # ------------------------------------------------------------------
     def occurrence(self, label: str) -> Occurrence:
-        return self._by_label[label]
+        return self.occurrences[self.index[label]]
 
     @property
     def macp(self) -> int:
@@ -167,7 +312,4 @@ class BodyFlowGraph:
 
     def topological_order(self) -> List[Occurrence]:
         """Occurrences ordered so predecessors come first."""
-        return sorted(
-            self.occurrences,
-            key=lambda occ: (self._depth_from_source[occ.label], occ.label),
-        )
+        return [self.occurrences[i] for i in self.topological]

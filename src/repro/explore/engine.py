@@ -97,7 +97,9 @@ class EvaluationCache:
     (``path=`` accepts one too); either argument is resolved by
     :func:`~repro.explore.cache.resolve_backend`.  Full
     :class:`PmmResult`\\ s are kept in-memory only (they hold schedules
-    and conflict graphs) for callers that need more than the report.
+    and conflict graphs), and only for :meth:`Explorer.evaluate_program`
+    callers that need more than the report; sweep batches, serial or
+    parallel, store reports only.
 
     On top of the backend sits the **decoded-report tier**, the only
     in-memory tier of the stack: a fingerprint -> (:class:`CostReport`
@@ -1264,7 +1266,10 @@ class Explorer:
                 )
                 continue
             seconds = time.perf_counter() - start
-            self.cache.store(fingerprint, result.report, result)
+            # Report only, like the parallel path: pinning every miss's
+            # PmmResult (program, schedules, conflict graph) would grow
+            # without bound in an unbounded cache.
+            self.cache.store(fingerprint, result.report)
             computed[fingerprint] = result.report
             self._seconds[fingerprint] = seconds
 
@@ -1298,8 +1303,9 @@ class Explorer:
         """Ad-hoc evaluation of a bare program (the session path).
 
         Returns the full :class:`PmmResult`; on a cache hit whose result
-        object was not retained (parallel or persisted entries keep only
-        the report), the oracle re-runs — deterministically identical.
+        object was not retained (sweep batches and persisted entries keep
+        only the report), the oracle re-runs — deterministically
+        identical.
         """
         if library is None:
             # One shared default-library instance per explorer keeps the
@@ -1337,7 +1343,7 @@ class Explorer:
             result = request.run()
             seconds = time.perf_counter() - start
             if hit:
-                # A report-only hit (parallel or disk entry): keep the
+                # A report-only hit (sweep or disk entry): keep the
                 # recomputed result so later callers get it for free
                 # (LRU-bounded exactly like a stored one).
                 self.cache.store_result(fingerprint, result)

@@ -31,10 +31,16 @@ Four scenario families per fast workload (registered on import, tagged
 cold (pool spin-up included), ``sweep_parallel_warm_pool_cavity``
 measures a batch through an already-warm persistent pool, and
 ``oracle_single_btpc`` tracks the paper demonstrator's heavyweight
-oracle (tagged ``full`` — too slow for the CI quick subset).
+oracle (tagged ``full``; the quick subset covers BTPC through
+``frontier_vs_exhaustive_btpc``).
 
-``frontier_vs_exhaustive_cavity`` (quick) and
-``frontier_vs_exhaustive_btpc`` (full) pit :class:`LinearFrontier` at a
+The ``oracle_single_*``, ``sweep_cold_*`` and ``frontier_vs_*`` cases
+clear the SCBD schedule memo
+(:func:`~repro.dtse.scbd.clear_schedule_memo`) before every repeat, so
+each repeat times a cold oracle rather than memo hits.
+
+``frontier_vs_exhaustive_cavity`` and
+``frontier_vs_exhaustive_btpc`` (both quick) pit :class:`LinearFrontier` at a
 20% oracle-call budget against a cold exhaustive sweep of a densified
 space, asserting the driver refactor's headline contract — at least 95%
 of the exhaustive Pareto front at a fifth of the calls — and reporting
@@ -76,6 +82,7 @@ from ..api import (
     front_coverage,
     pareto_front,
 )
+from ..dtse.scbd import clear_schedule_memo
 from ..explore.cache import MemoryCache
 from .harness import CaseRun, PerfCase, register_case
 
@@ -93,6 +100,8 @@ def _evals(explorer: Explorer) -> int:
 # ----------------------------------------------------------------------
 def _oracle_single(app: str) -> PerfCase:
     def setup() -> Any:
+        # Every repeat times a cold oracle, not schedule-memo hits.
+        clear_schedule_memo()
         explorer = Explorer.for_app(app)
         return explorer.request_for(explorer.space.points()[0])
 
@@ -122,6 +131,7 @@ def _sweep_cold(app: str) -> PerfCase:
     return PerfCase(
         name=f"sweep_cold_{app}",
         run=run,
+        setup=clear_schedule_memo,
         tags=("quick", "sweep"),
         description=f"full default-space sweep of {app} through a cold explorer",
     )
@@ -431,6 +441,7 @@ def _frontier_vs_exhaustive(
     return PerfCase(
         name=name,
         run=run,
+        setup=clear_schedule_memo,
         tags=tags,
         description=(
             f"cold LinearFrontier at a 20% oracle budget vs a cold "
@@ -451,14 +462,12 @@ def _frontier_vs_exhaustive_cavity() -> PerfCase:
 
 
 def _frontier_vs_exhaustive_btpc() -> PerfCase:
-    # The paper demonstrator's heavyweight oracle: ~6 minutes for the
-    # pair of sweeps, so full-tagged like oracle_single_btpc.
     return _frontier_vs_exhaustive(
         "frontier_vs_exhaustive_btpc",
         "btpc",
         budget_fractions=(1.0, 0.9, 0.82, 0.7, 0.6, 0.5),
         onchip_counts=(None, 4, 14),
-        tags=("full", "frontier", "sweep"),
+        tags=("quick", "frontier", "sweep"),
     )
 
 

@@ -14,8 +14,9 @@ The interesting machinery sits between the socket and the explorer:
 * **single-flight coalescing** (:mod:`repro.service.coalesce`) — the
   first request to reach a fingerprint evaluates it, concurrent
   requests for the same fingerprint await that evaluation's future, and
-  the outcome (report *or* cached failure) fans out to all of them.
-  Overlapping sweeps from N clients cost one oracle pass.
+  the outcome (report *or* cached failure) fans out to all of them —
+  also to overlapping requests that reach the fingerprint just after
+  it resolved.  Overlapping sweeps from N clients cost one oracle pass.
 * **request batching** — admitted points are chunked onto
   :meth:`~repro.api.Explorer.evaluate_many`, so misses ride the
   explorer's persistent worker pool and bulk cache probes exactly as
@@ -278,9 +279,11 @@ class SweepService:
         self._request_ids += 1
         self.requests_total += 1
         self._active_requests += 1
+        self._flight.begin(self._request_ids)
         return self._request_ids
 
-    def _request_finished(self) -> None:
+    def _request_finished(self, request_id: int) -> None:
+        self._flight.end(request_id)
         self._active_requests -= 1
         if self._draining and self._active_requests == 0:
             self._drained.set()
@@ -374,6 +377,7 @@ class SweepService:
         explorer: Explorer,
         points: Sequence[DesignPoint],
         fingerprints: Sequence[str],
+        request_id: int,
     ) -> Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]]:
         """Run one owned batch and fan its outcomes out to all waiters.
 
@@ -401,7 +405,7 @@ class SweepService:
                 # cached, and the decoded mirror serves it loop-cheap.
                 error = self.cache.get_error(fingerprint) or "evaluation failed"
                 outcome = (None, error)
-            self._flight.resolve(fingerprint, outcome)
+            self._flight.resolve(fingerprint, outcome, request_id)
             outcomes[fingerprint] = (outcome, record)
         return outcomes
 
@@ -410,6 +414,7 @@ class SweepService:
         explorer: Explorer,
         batch: Sequence[DesignPoint],
         summary: SweepSummary,
+        request_id: int,
     ) -> Tuple[List[Dict[str, Any]], List[ExplorationRecord]]:
         """Evaluate one admitted batch into its stream events.
 
@@ -420,7 +425,7 @@ class SweepService:
         are never double-charged.
         """
         prepared = await asyncio.to_thread(self._prepare, explorer, batch)
-        owned, waited = self._flight.claim([fp for _, fp, _ in prepared])
+        owned, waited = self._flight.claim([fp for _, fp, _ in prepared], request_id)
         owned_set = set(owned)
         first_for: Dict[str, DesignPoint] = {}
         for point, fingerprint, _ in prepared:
@@ -428,7 +433,9 @@ class SweepService:
         outcomes: Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]] = {}
         if owned:
             task = asyncio.create_task(
-                self._evaluate_owned(explorer, [first_for[fp] for fp in owned], owned)
+                self._evaluate_owned(
+                    explorer, [first_for[fp] for fp in owned], owned, request_id
+                )
             )
             # Consume the exception if nobody ends up awaiting (the
             # request got cancelled): waiters already saw it via fail().
@@ -481,7 +488,7 @@ class SweepService:
         # Defensive: every claim must retire even if event assembly
         # above ever grows an early exit.
         for fingerprint in owned_set - set(outcomes):
-            self._flight.resolve(fingerprint, (None, "internal error"))
+            self._flight.resolve(fingerprint, (None, "internal error"), request_id)
         return events, records
 
     # ------------------------------------------------------------------
@@ -534,13 +541,14 @@ class SweepService:
         batch_size: int,
         summary: SweepSummary,
         queue: "asyncio.Queue[Tuple[str, Any]]",
+        request_id: int,
     ) -> List[ExplorationRecord]:
         """One driver proposal, evaluated loop-side through the
         single-flight table; events stream out via ``queue``."""
         records: List[ExplorationRecord] = []
         for batch in chunked(points, batch_size):
             events, batch_records = await self._batch_events(
-                explorer, batch, summary
+                explorer, batch, summary, request_id
             )
             for event in events:
                 queue.put_nowait(("event", event))
@@ -581,7 +589,7 @@ class SweepService:
             if private is not None:
                 private.close()
             self._release(admitted)
-            self._request_finished()
+            self._request_finished(request_id)
 
         try:
             yield start_event(request.app, request_id, admitted)
@@ -591,7 +599,7 @@ class SweepService:
             ) -> List[ExplorationRecord]:
                 future = asyncio.run_coroutine_threadsafe(
                     self._strategy_batch(
-                        explorer, list(points), batch_size, summary, queue
+                        explorer, list(points), batch_size, summary, queue, request_id
                     ),
                     loop,
                 )
@@ -667,14 +675,16 @@ class SweepService:
             summary = SweepSummary()
             batch_size = request.batch_size or self.config.batch_size
             for batch in chunked(points, batch_size):
-                events, _records = await self._batch_events(explorer, batch, summary)
+                events, _records = await self._batch_events(
+                    explorer, batch, summary, request_id
+                )
                 for event in events:
                     yield event
             summary.cache = self.cache.stats_dict()
             yield end_event(summary.to_dict())
         finally:
             self._release(len(points))
-            self._request_finished()
+            self._request_finished(request_id)
 
     async def evaluate_payload(self, request: SweepRequest) -> Dict[str, Any]:
         """One-point evaluation: a single JSON response body."""

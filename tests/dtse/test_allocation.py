@@ -1,5 +1,10 @@
 """Memory allocation and signal-to-memory assignment."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.dtse.allocation.assign import (
@@ -144,3 +149,38 @@ def test_report_memory_kinds(btpc_program, constraints):
     assert report.total_power_mw == pytest.approx(
         report.onchip_power_mw + report.offchip_power_mw
     )
+
+
+#: Evaluates the BTPC Table 3 "85% budget" point and prints its report.
+_TABLE3_POINT_SCRIPT = """
+import json
+from repro.api import DesignSpace, Explorer
+from repro.explore.btpc_study import DECISIONS, STEP_HIERARCHY, TABLE3_ALLOCATION
+space = DesignSpace.for_app("btpc")
+point = space.point(
+    DECISIONS[STEP_HIERARCHY],
+    budget_fraction=0.85,
+    n_onchip=TABLE3_ALLOCATION,
+    label="85% budget",
+)
+print(json.dumps(Explorer(space).evaluate(point).report.to_dict()))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Fingerprint-equal requests give byte-identical reports across
+    processes, whatever order their string sets iterate in."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", _TABLE3_POINT_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]

@@ -153,8 +153,8 @@ def test_small_batches_fall_back_to_serial():
     records = explorer.evaluate_many(points[:2])
     assert len(records) == 2
     assert explorer._pool is None  # serial fallback: no pool spun up
-    # The serial path even cached the full PmmResult objects.
-    assert explorer.cache.get_result(records[0].fingerprint) is not None
+    # Serial batches store reports only, exactly like parallel ones.
+    assert explorer.cache.get_result(records[0].fingerprint) is None
     # A batch at the threshold spins the pool up; afterwards even tiny
     # batches reuse the warm pool rather than falling back.
     explorer.evaluate_many(points[2:6])
