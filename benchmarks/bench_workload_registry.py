@@ -13,7 +13,7 @@ FAST_APPS = ("cavity", "motion", "wavelet")
 
 def _sweep(name):
     explorer = Explorer.for_app(name, on_error="skip")
-    return explorer.run(ExhaustiveSweep()), explorer
+    return explorer.explore(ExhaustiveSweep()), explorer
 
 
 def test_registry_gallery(benchmark):

@@ -70,7 +70,7 @@ space.add_variant(
 )
 
 explorer = Explorer(space)
-result = explorer.run(ExhaustiveSweep())
+result = explorer.explore(ExhaustiveSweep())
 print(render_cost_table(result.reports(), "Same specification, three technologies"))
 print()
 print("pareto front:", [record.label for record in result.pareto_front()])

@@ -48,14 +48,14 @@ start = time.time()
 # The context manager releases the explorer's persistent worker pool
 # (it is forked once and reused by every batch inside the block).
 with Explorer(space, workers=4, on_error="skip") as explorer:
-    result = explorer.run(ExhaustiveSweep())
+    result = explorer.explore(ExhaustiveSweep())
     first = time.time() - start
     print(f"parallel sweep: {len(result.records)} evaluations in {first:.1f}s")
     for point, error in explorer.failures:
         print(f"  skipped infeasible point {point.display_label!r}: {error}")
 
     start = time.time()
-    rerun = explorer.run(ExhaustiveSweep())
+    rerun = explorer.explore(ExhaustiveSweep())
     second = time.time() - start
     print(
         f"memoized rerun: {rerun.cache_hit_count()}/{len(rerun.records)} cache hits"

@@ -39,7 +39,7 @@ space = DesignSpace(
 )
 space.add_variant("full-search", program=program)
 
-result = Explorer(space).run(ExhaustiveSweep())
+result = Explorer(space).explore(ExhaustiveSweep())
 for record in result.records:
     print(record.report.describe())
     print()

@@ -46,7 +46,7 @@ space.onchip_counts = (None, 2, 3)
 # 4. Sweep it.  The explorer memoizes every evaluation (rerunning this
 #    sweep is free) and can fan out over processes with workers=N.
 explorer = Explorer(space)
-result = explorer.run(ExhaustiveSweep())
+result = explorer.explore(ExhaustiveSweep())
 
 print()
 print(render_cost_table(result.reports(), f"All {len(result.records)} design points"))

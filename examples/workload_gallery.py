@@ -48,7 +48,7 @@ for name in list_apps():
         print(f"  sampling {len(points)} corners of {len(space)} points"
               " (pass --full for the whole space)")
     start = time.time()
-    result = explorer.run(ExhaustiveSweep(points))
+    result = explorer.explore(ExhaustiveSweep(points))
     seconds = time.time() - start
     skipped = f", {len(explorer.failures)} infeasible" if explorer.failures else ""
     print(f"  {len(result.records)} evaluations in {seconds:.1f}s{skipped}")

@@ -10,7 +10,7 @@
     space.onchip_counts = (None, 2, 4)
 
     explorer = Explorer(space, workers=4)
-    result = explorer.run(ExhaustiveSweep())
+    result = explorer.explore(ExhaustiveSweep())
     for record in result.pareto_front():
         print(record.report.describe())
 

@@ -20,7 +20,7 @@ Registered apps are addressable by name everywhere::
 
     list_apps()                              # ('btpc', 'cavity', ...)
     space = DesignSpace.for_app("wavelet")   # the app's default space
-    result = Explorer.for_app("wavelet").run(ExhaustiveSweep())
+    result = Explorer.for_app("wavelet").explore(ExhaustiveSweep())
 
 The built-in workloads register themselves when :mod:`repro.apps` is
 imported; user applications call :func:`register_app` with their own

@@ -25,7 +25,7 @@ evaluation under a content-addressed fingerprint.  This module owns
 
 ``resolve_backend`` understands ``remote://host:port`` URLs (with an
 optional ``/local/fallback/dir`` path suffix), so
-``Explorer(cache="remote://...")`` and ``python -m repro.service
+``Explorer(space, cache="remote://...")`` and ``python -m repro.service
 --cache remote://...`` plug whole worker fleets into one shared warm
 corpus.  The only in-memory tier above any of them is the
 :class:`~repro.explore.engine.EvaluationCache` decoded-report tier.

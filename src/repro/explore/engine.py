@@ -2,7 +2,8 @@
 
 The :class:`Explorer` turns :class:`~repro.explore.space.DesignPoint`\\ s
 into :class:`ExplorationRecord`\\ s by driving the ``run_pmm`` feedback
-oracle, with two performance layers the ad-hoc drivers never had:
+oracle.  :meth:`Explorer.evaluate_many` is the one path a design point
+takes to the oracle, with two performance layers:
 
 * **content-addressed memoization** — every evaluation request is
   fingerprinted over (program structure, cycle budget, knobs, library);
@@ -16,13 +17,14 @@ oracle, with two performance layers the ad-hoc drivers never had:
   over a **persistent** :class:`concurrent.futures.ProcessPoolExecutor`
   owned by the explorer (created lazily, reused across batches and
   strategy steps, released by :meth:`Explorer.close` or the context
-  manager); results come back in deterministic point order regardless
-  of completion order.  Batches smaller than ``min_parallel_batch``
-  fall back to the serial path so tiny sweeps never pay fork cost.
+  manager).  Serial and pooled misses share one loop, so results come
+  back in deterministic point order either way.  A cold pool is only
+  spun up for batches of :attr:`Explorer.MIN_PARALLEL_BATCH` misses or
+  more, so tiny sweeps never pay fork cost.
 
 Search strategies (:mod:`repro.explore.strategies`) sit on top and only
-ever talk to the explorer, so caching and parallelism apply to every
-strategy uniformly.
+ever talk to the explorer through :class:`SearchDriver`, so caching and
+parallelism apply to every strategy uniformly.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -52,12 +55,9 @@ from typing import (
 
 from ..costs.report import INFEASIBLE_MARKER, CostReport
 from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
-from ..dtse.pipeline import PmmRequest, PmmResult
-from ..ir.program import Program
-from ..memlib.library import MemoryLibrary, default_library
+from ..dtse.pipeline import PmmRequest
 from .cache import CacheBackend, DiskCache, resolve_backend
 from .fingerprint import (
-    cached_canonical_json,
     canonical_value,
     fingerprint_from_parts,
     fingerprint_request,
@@ -95,11 +95,9 @@ class EvaluationCache:
     ``path=`` is a ``remote://host:port`` URL (warm across *machines*
     via :mod:`repro.cacheserver`), or any caller-provided backend
     (``path=`` accepts one too); either argument is resolved by
-    :func:`~repro.explore.cache.resolve_backend`.  Full
-    :class:`PmmResult`\\ s are kept in-memory only (they hold schedules
-    and conflict graphs), and only for :meth:`Explorer.evaluate_program`
-    callers that need more than the report; sweep batches, serial or
-    parallel, store reports only.
+    :func:`~repro.explore.cache.resolve_backend`.  Only reports are
+    stored; full :class:`~repro.dtse.pipeline.PmmResult`\\ s (schedules,
+    conflict graphs) never outlive the oracle call that made them.
 
     On top of the backend sits the **decoded-report tier**, the only
     in-memory tier of the stack: a fingerprint -> (:class:`CostReport`
@@ -107,10 +105,10 @@ class EvaluationCache:
     consulted before any backend probe.  A warm re-probe costs one
     dictionary lookup — no payload fetch, no
     :meth:`CostReport.from_dict` materialization.  ``max_entries``
-    bounds the tier and the pinned results with LRU discipline, for any
-    backend (a memory or disk backend built here takes the same bound;
-    without one the tier inherits the backend's own bound, and an
-    unbounded backend keeps it unbounded), so a bounded cache stack —
+    bounds the tier with LRU discipline, for any backend (a memory or
+    disk backend built here takes the same bound; without one the tier
+    inherits the backend's own bound, and an unbounded backend keeps it
+    unbounded), so a bounded cache stack —
     remote-backed ones included — stays bounded end to end;
     ``decoded_hits`` counts the probes it absorbed.
 
@@ -147,7 +145,6 @@ class EvaluationCache:
         if max_entries is None:
             max_entries = getattr(self.backend, "max_entries", None)
         self.max_entries = max_entries
-        self.results: "OrderedDict[str, PmmResult]" = OrderedDict()
         #: Serializes every probe/store/counter path (and thereby all
         #: backend access): re-entrant so locked methods can call each
         #: other, shared by explorers for their counter bumps.
@@ -271,54 +268,19 @@ class EvaluationCache:
             for fingerprint, report in reports.items():
                 self._remember(fingerprint, (report, None))
 
-    def get_report(self, fingerprint: str) -> Optional[CostReport]:
-        return self.lookup(fingerprint)[0]
-
     def get_error(self, fingerprint: str) -> Optional[str]:
         """The cached failure message, if this evaluation is known bad."""
         return self.lookup(fingerprint)[1]
-
-    def get_result(self, fingerprint: str) -> Optional[PmmResult]:
-        with self.lock:
-            result = self.results.get(fingerprint)
-            if result is not None:
-                self.results.move_to_end(fingerprint)
-            return result
-
-    def store_result(self, fingerprint: str, result: PmmResult) -> None:
-        """Pin a full result, LRU-bounded like every in-memory tier.
-
-        Results hold schedules and conflict graphs, so an unbounded
-        result store is the heaviest possible leak for long strategy
-        runs over a bounded cache; the same ``max_entries`` bound and
-        recency discipline apply.  An already-pinned fingerprint keeps
-        its (deterministically identical) result and just refreshes
-        recency.
-        """
-        with self.lock:
-            if fingerprint not in self.results:
-                self.results[fingerprint] = result
-            self.results.move_to_end(fingerprint)
-            if self.max_entries is not None:
-                while len(self.results) > self.max_entries:
-                    self.results.popitem(last=False)
 
     def store_failure(self, fingerprint: str, error: str) -> None:
         with self.lock:
             self.backend.put(fingerprint, {self.FAILURE_KEY: error})
             self._remember(fingerprint, (None, error))
 
-    def store(
-        self,
-        fingerprint: str,
-        report: CostReport,
-        result: Optional[PmmResult] = None,
-    ) -> None:
+    def store(self, fingerprint: str, report: CostReport) -> None:
         with self.lock:
             self.backend.put(fingerprint, report.to_dict())
             self._remember(fingerprint, (report, None))
-            if result is not None:
-                self.store_result(fingerprint, result)
 
     # ------------------------------------------------------------------
     # Counters (explorers bump these under the shared lock)
@@ -357,7 +319,6 @@ class EvaluationCache:
     def clear(self) -> None:
         with self.lock:
             self.backend.clear()
-            self.results.clear()
             self._decoded.clear()
             self.hits = 0
             self.misses = 0
@@ -500,11 +461,11 @@ class BudgetState:
 class RoundSnapshot:
     """Per-round progress accounting, emitted by the driver.
 
-    ``oracle_calls`` charges every unique proposed point the round
-    could not serve as a cache-hit record — fresh oracle runs and
-    skipped failures alike — so the count is exact on a cold cache and
-    a conservative upper bound on a warm one (a negatively-cached
-    failure skips the oracle but is still charged).
+    ``oracle_calls`` charges every unique proposed point unless every
+    record for it is a cache hit — fresh oracle runs and skipped
+    failures alike — so the count is exact on a cold cache and a
+    conservative upper bound on a warm one (a negatively-cached failure
+    skips the oracle but is still charged).
     """
 
     round: int
@@ -732,7 +693,8 @@ class ExplorationError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Worker entry point (module-level: must pickle into process pools)
+# The oracle call, for the builtin and the pool map alike (module-level:
+# must pickle into process pools)
 # ----------------------------------------------------------------------
 def _evaluate_request(
     request: PmmRequest,
@@ -754,20 +716,16 @@ class Explorer:
     Parameters
     ----------
     space:
-        The design space points refer to.  Optional: the ad-hoc
-        :meth:`evaluate_program` path works without one (legacy
-        sessions use it).
+        The design space points refer to.
     workers:
         Process-parallelism for batch evaluation.  1 (the default) stays
-        in-process and also caches full :class:`PmmResult` objects.
-        With ``workers=N`` the explorer owns a lazily-created,
-        **persistent** process pool, reused across :meth:`evaluate_many`
-        calls and strategy steps; release it with :meth:`close` or by
-        using the explorer as a context manager.
-    min_parallel_batch:
-        Miss batches smaller than this run serially even when
-        ``workers > 1`` — tiny sweeps never pay pool spin-up.  Once the
-        pool exists, any batch of two or more misses uses it.
+        in-process.  With ``workers=N`` the explorer owns a
+        lazily-created, **persistent** process pool, reused across
+        :meth:`evaluate_many` calls and strategy steps; release it with
+        :meth:`close` or by using the explorer as a context manager.
+        Miss batches below :attr:`MIN_PARALLEL_BATCH` run in-process
+        until the pool exists; once it does, any batch of two or more
+        misses uses it.
     cache:
         Shared :class:`EvaluationCache`, or anything one accepts (and
         wraps in a private one): a bare
@@ -794,15 +752,14 @@ class Explorer:
         grow per-request state without bound.
     """
 
-    #: Default serial-fallback threshold for parallel miss batches.
-    DEFAULT_MIN_PARALLEL_BATCH = 4
+    #: Smallest miss batch that spins up a cold pool.
+    MIN_PARALLEL_BATCH = 4
 
     def __init__(
         self,
-        space: Optional[DesignSpace] = None,
+        space: DesignSpace,
         *,
         workers: int = 1,
-        min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
         cache: Union[None, str, Path, CacheBackend, EvaluationCache] = None,
         area_weight: float = DEFAULT_AREA_WEIGHT,
         seed: int = 0,
@@ -811,13 +768,10 @@ class Explorer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if min_parallel_batch < 2:
-            raise ValueError("min_parallel_batch must be >= 2")
         if on_error not in ("raise", "skip"):
             raise ValueError("on_error must be 'raise' or 'skip'")
         self.space = space
         self.workers = workers
-        self.min_parallel_batch = min_parallel_batch
         self.cache = (
             cache if isinstance(cache, EvaluationCache) else EvaluationCache(cache)
         )
@@ -835,7 +789,6 @@ class Explorer:
         #: broken) — counted, not swallowed, so a pathological worker
         #: setup is visible instead of silent.
         self._pool_discard_failures = 0
-        self._default_library: Optional[MemoryLibrary] = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -851,7 +804,7 @@ class Explorer:
 
         Safe to call concurrently with an in-flight
         :meth:`evaluate_many` — a batch that loses its pool mid-flight
-        falls back to the serial path and still completes — and safe to
+        finishes in-process and still completes — and safe to
         call from several threads at once (each pool is shut down
         exactly once).  The explorer stays usable afterwards: the next
         parallel batch simply spins up a fresh pool.
@@ -925,8 +878,6 @@ class Explorer:
     # ------------------------------------------------------------------
     def request_for(self, point: DesignPoint) -> PmmRequest:
         """Resolve a point against the space into a concrete request."""
-        if self.space is None:
-            raise ValueError("explorer has no design space")
         return PmmRequest(
             program=self.space.program(point.variant),
             cycle_budget=self.space.effective_budget(point.budget_fraction),
@@ -941,31 +892,11 @@ class Explorer:
     # ------------------------------------------------------------------
     # Fingerprints (incremental hot path)
     # ------------------------------------------------------------------
-    def fingerprint_point(self, point: DesignPoint, request: PmmRequest) -> str:
-        """The point's content address via memoized invariant fragments.
-
-        Byte-identical to ``fingerprint_request(request)`` — the
-        canonical program/library JSON is simply cached on the design
-        space instead of recomputed per point, so a warm sweep pays
-        only the per-point knob digest.
-        """
-        if self.space is None:
-            return fingerprint_request(request)
-        return fingerprint_from_parts(
-            self.space.fingerprint_program_json(point.variant),
-            self.space.fingerprint_library_json(point.library),
-            cycle_budget=request.cycle_budget,
-            frame_time_s=request.frame_time_s,
-            n_onchip=request.n_onchip,
-            area_weight=request.area_weight,
-            seed=request.seed,
-        )
-
     def fingerprint_points(self, points: Sequence[DesignPoint]) -> List[str]:
         """Content addresses for a whole batch in one assembly pass.
 
-        Byte-identical to :meth:`fingerprint_point` per point, but the
-        batch shares everything shareable: the canonical program and
+        Byte-identical to ``fingerprint_request(request_for(point))``
+        per point, but the batch shares everything shareable: the canonical program and
         library fragments are fetched **once per distinct axis value**
         (not per point), the knob segments — area weight, frame time,
         seed, each distinct cycle budget and on-chip count — are
@@ -979,8 +910,6 @@ class Explorer:
         table fall back to live assembly within the same pass.
         """
         space = self.space
-        if space is None:
-            raise ValueError("explorer has no design space")
         table = space.precomputed_fingerprints(self.area_weight, self.seed)
         dumps = json.dumps
         sha256 = hashlib.sha256
@@ -1057,8 +986,6 @@ class Explorer:
         if not 0 <= index < count:
             raise ValueError(f"index must be in [0, {count}), got {index}")
         if points is None:
-            if self.space is None:
-                raise ValueError("explorer has no design space to shard")
             points = self.space.points()
         fingerprints = self.fingerprint_points(points)
         return [
@@ -1070,14 +997,10 @@ class Explorer:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, point: DesignPoint, step: str = "") -> ExplorationRecord:
-        """Evaluate one point (cache-aware, serial)."""
-        return self.evaluate_many([point], step=step)[0]
-
     def evaluate_many(
         self, points: Sequence[DesignPoint], step: str = ""
     ) -> List[ExplorationRecord]:
-        """Evaluate a batch; misses fan out over the process pool.
+        """Evaluate a batch: the one path a point takes to the oracle.
 
         Records come back in the order of ``points`` whatever the
         completion order, so parallel runs are bit-identical to serial
@@ -1094,8 +1017,6 @@ class Explorer:
         """
         if not points:
             return []
-        if self.space is None:
-            raise ValueError("explorer has no design space")
         fingerprints = self.fingerprint_points(points)
         # Reports are pinned batch-locally as soon as they are resolved:
         # a bounded backend may evict any entry between the cache probe
@@ -1177,15 +1098,17 @@ class Explorer:
             return False
         # A warm pool costs nothing to reuse; a cold one is only worth
         # spinning up for batches that amortize the fork cost.
-        return self._pool is not None or batch_size >= self.min_parallel_batch
+        return self._pool is not None or batch_size >= self.MIN_PARALLEL_BATCH
 
     def _evaluate_misses(
         self, fresh: Dict[str, PmmRequest]
     ) -> Dict[str, CostReport]:
         """Run the oracle for every fingerprint in ``fresh``.
 
-        Returns the computed reports so the caller does not depend on
-        the cache retaining them (a bounded backend may evict).
+        Outcomes come from the pool's ``map`` or from the builtin one,
+        and :meth:`_collect` consumes both the same way.  Returns the
+        computed reports so the caller does not depend on the cache
+        retaining them (a bounded backend may evict).
         """
         computed: Dict[str, CostReport] = {}
         if not fresh:
@@ -1198,21 +1121,20 @@ class Explorer:
             # one IPC exchange per point.
             chunksize = max(1, math.ceil(len(items) / (self.workers * 4)))
             try:
-                outcomes = list(
-                    pool.map(
-                        _evaluate_request,
-                        [request for _, request in items],
-                        chunksize=chunksize,
-                    )
+                outcomes = pool.map(
+                    _evaluate_request, fresh.values(), chunksize=chunksize
                 )
+                self._collect(items, outcomes, computed)
+                return computed
+            except ExplorationError:
+                raise
             except (BrokenProcessPool, RuntimeError) as exc:
                 # BrokenProcessPool: a worker died under the batch.
                 # RuntimeError: recoverable only when the pool was shut
                 # down between submit and map (a concurrent close(),
-                # e.g. a draining service) — map() iteration also
-                # re-raises exceptions from the worker function, and
-                # those must propagate instead of silently discarding
-                # a healthy pool.
+                # e.g. a draining service); anything else must
+                # propagate instead of silently discarding a healthy
+                # pool.
                 pool_lost = isinstance(exc, BrokenProcessPool) or (
                     "shutdown" in str(exc) or getattr(pool, "_broken", False)
                 )
@@ -1220,57 +1142,33 @@ class Explorer:
                     raise
                 # The batch must still complete: drop the dead pool
                 # (never a replacement a concurrent recovering caller
-                # already spun up) and rerun this batch serially — the
-                # oracle is deterministic and stores are idempotent, so
-                # recovery is invisible to the caller beyond the lost
-                # parallelism.
+                # already spun up) and finish in-process — the oracle
+                # is deterministic and stores are idempotent, so
+                # recovery is invisible beyond the lost parallelism.
                 self._discard_pool(pool)
-                self._evaluate_serially(items, computed)
-                return computed
-            failures: List[Tuple[str, PmmRequest, str]] = []
-            stored: Dict[str, CostReport] = {}
-            for (fingerprint, request), (report, seconds, error) in zip(
-                items, outcomes
-            ):
-                if error is not None:
-                    failures.append((fingerprint, request, error))
-                    continue
-                stored[fingerprint] = report
-                computed[fingerprint] = report
-                self._seconds[fingerprint] = seconds
-            # Successes persist before any failure can raise, and in
-            # one bulk store.
-            if stored:
-                self.cache.store_many(stored)
-            for fingerprint, request, error in failures:
-                self._record_failure(fingerprint, request, error)
-        else:
-            self._evaluate_serially(items, computed)
+                items = [item for item in items if item[0] not in computed]
+        outcomes = map(_evaluate_request, [request for _, request in items])
+        self._collect(items, outcomes, computed)
         return computed
 
-    def _evaluate_serially(
+    def _collect(
         self,
         items: Sequence[Tuple[str, PmmRequest]],
+        outcomes: Iterable[Tuple[Optional[CostReport], float, Optional[str]]],
         computed: Dict[str, CostReport],
     ) -> None:
-        """The in-process miss path (also the pool-loss recovery path)."""
-        for fingerprint, request in items:
-            start = time.perf_counter()
-            try:
-                result = request.run()
-            except Exception as exc:
-                if self.on_error == "raise":
-                    raise
-                self._record_failure(
-                    fingerprint, request, f"{type(exc).__name__}: {exc}"
-                )
+        """The one miss loop: store each success as it arrives.
+
+        An interrupted sweep keeps what it computed.  In raise mode the
+        first failure raises :class:`ExplorationError` after every
+        earlier success is stored.
+        """
+        for (fingerprint, request), (report, seconds, error) in zip(items, outcomes):
+            if error is not None:
+                self._record_failure(fingerprint, request, error)
                 continue
-            seconds = time.perf_counter() - start
-            # Report only, like the parallel path: pinning every miss's
-            # PmmResult (program, schedules, conflict graph) would grow
-            # without bound in an unbounded cache.
-            self.cache.store(fingerprint, result.report)
-            computed[fingerprint] = result.report
+            self.cache.store(fingerprint, report)
+            computed[fingerprint] = report
             self._seconds[fingerprint] = seconds
 
     def _known_error(self, fingerprint: str) -> Optional[str]:
@@ -1289,88 +1187,6 @@ class Explorer:
         self.cache.store_failure(fingerprint, error)
 
     # ------------------------------------------------------------------
-    def evaluate_program(
-        self,
-        program: Program,
-        *,
-        label: str,
-        cycle_budget: float,
-        frame_time_s: float,
-        library: Optional[MemoryLibrary] = None,
-        n_onchip: Optional[int] = None,
-        step: str = "",
-    ) -> Tuple[ExplorationRecord, PmmResult]:
-        """Ad-hoc evaluation of a bare program (the session path).
-
-        Returns the full :class:`PmmResult`; on a cache hit whose result
-        object was not retained (sweep batches and persisted entries keep
-        only the report), the oracle re-runs — deterministically
-        identical.
-        """
-        if library is None:
-            # One shared default-library instance per explorer keeps the
-            # identity-keyed fragment memo effective (and bounded) for
-            # sessions that evaluate with the implicit library.
-            if self._default_library is None:
-                self._default_library = default_library()
-            library = self._default_library
-        request = PmmRequest(
-            program=program,
-            cycle_budget=cycle_budget,
-            frame_time_s=frame_time_s,
-            library=library,
-            n_onchip=n_onchip,
-            area_weight=self.area_weight,
-            label=label,
-            seed=self.seed,
-        )
-        fingerprint = fingerprint_from_parts(
-            # The spaceless path uses the same process-wide
-            # identity-memoized fragments as design-space sweeps.
-            cached_canonical_json(request.program),
-            cached_canonical_json(request.library),
-            cycle_budget=request.cycle_budget,
-            frame_time_s=request.frame_time_s,
-            n_onchip=request.n_onchip,
-            area_weight=request.area_weight,
-            seed=request.seed,
-        )
-        hit = self.cache.get_report(fingerprint) is not None
-        result = self.cache.get_result(fingerprint)
-        seconds = 0.0
-        if result is None:
-            start = time.perf_counter()
-            result = request.run()
-            seconds = time.perf_counter() - start
-            if hit:
-                # A report-only hit (sweep or disk entry): keep the
-                # recomputed result so later callers get it for free
-                # (LRU-bounded exactly like a stored one).
-                self.cache.store_result(fingerprint, result)
-        if hit:
-            self.cache.count_hits()
-        else:
-            self.cache.count_misses()
-            self.cache.store(fingerprint, result.report, result)
-        if result.report.label != label:
-            result = dataclasses.replace(
-                result,
-                allocation=dataclasses.replace(result.allocation, label=label),
-            )
-        record = ExplorationRecord(
-            point=DesignPoint(variant=program.name, label=label),
-            report=result.report,
-            fingerprint=fingerprint,
-            seconds=seconds,
-            cache_hit=hit,
-            step=step,
-            program_name=program.name,
-        )
-        if self.retain_records:
-            self.records.append(record)
-        return record, result
-
-    # ------------------------------------------------------------------
     def explore(
         self,
         strategy: "SearchStrategy",  # noqa: F821
@@ -1384,9 +1200,7 @@ class Explorer:
     ) -> ExplorationResult:
         """Drive a strategy through the budgeted propose/observe loop.
 
-        The canonical entry point since the driver refactor: every
-        keyword forwards to :class:`SearchDriver`.  ``explorer.run(s)``
-        is a thin shim over this.
+        Every keyword forwards to :class:`SearchDriver`.
         """
         driver = SearchDriver(
             self,
@@ -1396,15 +1210,6 @@ class Explorer:
             should_stop=should_stop,
         )
         return driver.run(strategy)
-
-    def run(
-        self,
-        strategy: "SearchStrategy",  # noqa: F821
-        *,
-        budget: Optional[SearchBudget] = None,
-    ) -> ExplorationResult:
-        """Run a search strategy against this explorer (compat shim)."""
-        return self.explore(strategy, budget=budget)
 
     def pareto_front(self) -> List[CostReport]:
         return pareto_front([record.report for record in self.records])
@@ -1482,7 +1287,7 @@ class SearchDriver:
         )
         state = BudgetState(budget=self.budget)
         result = ExplorationResult(
-            space_name=explorer.space.name if explorer.space is not None else "",
+            space_name=explorer.space.name,
             strategy=strategy.name,
             budget=None if self.budget.unlimited else self.budget,
         )
@@ -1514,12 +1319,20 @@ class SearchDriver:
             if remaining_calls is not None and len(points) > remaining_calls:
                 points = points[:remaining_calls]
             records = evaluate(points, step)
-            # Budget charging: every unique proposed point the batch
-            # could not serve as a cache-hit record ran the oracle (or
-            # hit a skipped failure — conservatively charged too).
-            unique = len(dict.fromkeys(points))
+            # Budget charging: a unique proposed point is charged unless
+            # every record for it is a cache hit.  An in-batch duplicate
+            # of a fresh point is a hit record, but its first occurrence
+            # ran the oracle; a skipped failure has no record and is
+            # conservatively charged too.
+            all_hits: Dict[DesignPoint, bool] = {}
+            for record in records:
+                all_hits[record.point] = (
+                    all_hits.get(record.point, True) and record.cache_hit
+                )
+            charged = sum(
+                1 for point in dict.fromkeys(points) if not all_hits.get(point)
+            )
             cache_hits = sum(1 for record in records if record.cache_hit)
-            charged = max(0, unique - cache_hits)
             state.rounds += 1
             state.points += len(records)
             state.oracle_calls += charged

@@ -125,8 +125,6 @@ class ExhaustiveSweep(SearchStrategy):
         if self.points is not None:
             self._iterator = iter(self.points)
         else:
-            if explorer.space is None:
-                raise ValueError("explorer has no design space")
             self._iterator = explorer.space.iter_points()
 
     def propose(self, state: BudgetState) -> Optional[Proposal]:
@@ -213,8 +211,8 @@ class GreedyStepwise(SearchStrategy):
     proposed as a batch, and the decision commits in ``observe`` so the
     next step's lazy generator sees it.  Pass a
     :class:`~repro.explore.session.ExplorationSession` to mirror every
-    evaluation and decision into the legacy decision log (the
-    exploration-tree rendering feeds off it).
+    evaluation and decision into its decision log (the exploration-tree
+    rendering feeds off it).
     """
 
     name = "greedy-stepwise"
@@ -296,8 +294,6 @@ class ParetoRefine(SearchStrategy):
         self._round = 0
 
     def begin(self, explorer: Explorer) -> None:
-        if explorer.space is None:
-            raise ValueError("explorer has no design space")
         self._space = explorer.space
         self._frontier = (
             list(self.seed_points)
@@ -408,8 +404,6 @@ class LinearFrontier(SearchStrategy):
 
     # ------------------------------------------------------------------
     def begin(self, explorer: Explorer) -> None:
-        if explorer.space is None:
-            raise ValueError("LinearFrontier needs a design space")
         self._space = explorer.space
         self._evaluated = {}
         self._attempted = set()

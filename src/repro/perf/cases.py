@@ -27,15 +27,18 @@ Four scenario families per fast workload (registered on import, tagged
   (one batched wire round trip per app sweep, compact records end to
   end).  Zero oracle re-evaluations by construction.
 
-``sweep_parallel_cavity`` exercises the ``workers=N`` process pool from
-cold (pool spin-up included), ``sweep_parallel_warm_pool_cavity``
-measures a batch through an already-warm persistent pool, and
+``sweep_parallel_cavity`` and ``sweep_parallel_btpc`` exercise the
+``workers=N`` process pool from cold (pool spin-up included);
+``sweep_cold_btpc`` is their serial counterpart, so the pair records
+whether the pool pays on a heavyweight oracle (BTPC) as well as on a
+light one (cavity).  ``sweep_parallel_warm_pool_cavity`` measures a
+batch through an already-warm persistent pool, and
 ``oracle_single_btpc`` tracks the paper demonstrator's heavyweight
-oracle (tagged ``full``; the quick subset covers BTPC through
-``frontier_vs_exhaustive_btpc``).
+oracle.  The BTPC sweep and oracle cases are tagged ``full``; the
+quick subset covers BTPC through ``frontier_vs_exhaustive_btpc``.
 
-The ``oracle_single_*``, ``sweep_cold_*`` and ``frontier_vs_*`` cases
-clear the SCBD schedule memo
+The ``oracle_single_*``, ``sweep_cold_*``, ``sweep_parallel_*`` and
+``frontier_vs_*`` cases clear the SCBD schedule memo
 (:func:`~repro.dtse.scbd.clear_schedule_memo`) before every repeat, so
 each repeat times a cold oracle rather than memo hits.
 
@@ -121,7 +124,7 @@ def _oracle_single(app: str) -> PerfCase:
 def _sweep_cold(app: str) -> PerfCase:
     def run(_: Any) -> CaseRun:
         explorer = Explorer.for_app(app, on_error="skip")
-        explorer.run(ExhaustiveSweep())
+        explorer.explore(ExhaustiveSweep())
         return CaseRun(
             evals=_evals(explorer),
             points=len(explorer.space),
@@ -132,7 +135,7 @@ def _sweep_cold(app: str) -> PerfCase:
         name=f"sweep_cold_{app}",
         run=run,
         setup=clear_schedule_memo,
-        tags=("quick", "sweep"),
+        tags=("quick", "sweep") if app in FAST_APPS else ("full", "sweep"),
         description=f"full default-space sweep of {app} through a cold explorer",
     )
 
@@ -140,14 +143,14 @@ def _sweep_cold(app: str) -> PerfCase:
 def _resweep_memoized(app: str) -> PerfCase:
     def setup() -> Explorer:
         explorer = Explorer.for_app(app, on_error="skip")
-        explorer.run(ExhaustiveSweep())
+        explorer.explore(ExhaustiveSweep())
         # The warm-up misses are setup cost, not the measured path.
         explorer.cache.hits = explorer.cache.misses = 0
         return explorer
 
     def run(explorer: Explorer) -> CaseRun:
         before = _evals(explorer)
-        result = explorer.run(ExhaustiveSweep())
+        result = explorer.explore(ExhaustiveSweep())
         assert result.cache_hit_count() == len(result.records)
         return CaseRun(
             evals=_evals(explorer) - before,
@@ -167,12 +170,14 @@ def _resweep_memoized(app: str) -> PerfCase:
 # ----------------------------------------------------------------------
 # Parallel batches
 # ----------------------------------------------------------------------
-def _sweep_parallel_cavity() -> PerfCase:
+def _sweep_parallel(app: str) -> PerfCase:
+    tags = ("parallel", "sweep") if app in FAST_APPS else ("full", "parallel", "sweep")
+
     def run(_: Any) -> CaseRun:
         # Context manager: the persistent pool is released with the
         # explorer; the measurement includes one cold pool spin-up.
-        with Explorer.for_app("cavity", workers=2, on_error="skip") as explorer:
-            explorer.run(ExhaustiveSweep())
+        with Explorer.for_app(app, workers=2, on_error="skip") as explorer:
+            explorer.explore(ExhaustiveSweep())
             return CaseRun(
                 evals=_evals(explorer),
                 points=len(explorer.space),
@@ -180,27 +185,28 @@ def _sweep_parallel_cavity() -> PerfCase:
             )
 
     return PerfCase(
-        name="sweep_parallel_cavity",
+        name=f"sweep_parallel_{app}",
         run=run,
-        tags=("parallel", "sweep"),
-        description="cavity cold sweep fanned over a 2-process pool "
+        # Forked workers inherit the parent's schedule memo: clear it so
+        # the pool times a cold oracle, like sweep_cold_*.
+        setup=clear_schedule_memo,
+        tags=tags,
+        description=f"{app} cold sweep fanned over a 2-process pool "
         "(includes pool spin-up)",
     )
 
 
 def _sweep_parallel_warm_pool_cavity() -> PerfCase:
     def setup() -> Explorer:
-        explorer = Explorer.for_app(
-            "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-        )
-        # Spin the persistent pool up on a two-point batch so the
+        explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
+        # Spin the persistent pool up on a threshold-sized batch so the
         # timed sweep below measures reuse, not fork cost.
-        explorer.evaluate_many(explorer.space.points()[:2])
+        explorer.evaluate_many(explorer.space.points()[: Explorer.MIN_PARALLEL_BATCH])
         explorer.cache.hits = explorer.cache.misses = 0
         return explorer
 
     def run(explorer: Explorer) -> CaseRun:
-        points = explorer.space.points()[2:]
+        points = explorer.space.points()[Explorer.MIN_PARALLEL_BATCH :]
         explorer.evaluate_many(points)
         return CaseRun(
             evals=_evals(explorer),
@@ -231,7 +237,9 @@ def _registry_sweep_warm_disk() -> PerfCase:
         cache_dir = Path(tempfile.mkdtemp(prefix="repro-perf-cache-"))
         warm = EvaluationCache(path=cache_dir)
         for app in FAST_APPS:
-            Explorer.for_app(app, cache=warm, on_error="skip").run(ExhaustiveSweep())
+            Explorer.for_app(app, cache=warm, on_error="skip").explore(
+                ExhaustiveSweep()
+            )
         return {"cache_dir": cache_dir}
 
     def run(state: Dict[str, Any]) -> CaseRun:
@@ -242,7 +250,7 @@ def _registry_sweep_warm_disk() -> PerfCase:
         points = 0
         for app in FAST_APPS:
             explorer = Explorer.for_app(app, cache=shared, on_error="skip")
-            result = explorer.run(ExhaustiveSweep())
+            result = explorer.explore(ExhaustiveSweep())
             evals += len(result.records)
             points += len(explorer.space)
         if shared.misses:
@@ -278,11 +286,15 @@ def _registry_resweep_warm_decoded() -> PerfCase:
         cache_dir = Path(tempfile.mkdtemp(prefix="repro-perf-decoded-"))
         shared = EvaluationCache(path=cache_dir)
         for app in FAST_APPS:
-            Explorer.for_app(app, cache=shared, on_error="skip").run(ExhaustiveSweep())
+            Explorer.for_app(app, cache=shared, on_error="skip").explore(
+                ExhaustiveSweep()
+            )
         # One untimed re-sweep fills the decoded tier from disk; the
         # measured runs below never leave it.
         for app in FAST_APPS:
-            Explorer.for_app(app, cache=shared, on_error="skip").run(ExhaustiveSweep())
+            Explorer.for_app(app, cache=shared, on_error="skip").explore(
+                ExhaustiveSweep()
+            )
         shared.hits = shared.misses = 0
         shared.decoded_hits = 0
         return {"cache": shared, "cache_dir": cache_dir}
@@ -294,7 +306,7 @@ def _registry_resweep_warm_decoded() -> PerfCase:
         points = 0
         for app in FAST_APPS:
             explorer = Explorer.for_app(app, cache=shared, on_error="skip")
-            result = explorer.run(ExhaustiveSweep())
+            result = explorer.explore(ExhaustiveSweep())
             evals += len(result.records)
             points += len(explorer.space)
         if shared.misses:
@@ -336,7 +348,9 @@ def _registry_resweep_remote_warm() -> PerfCase:
         ).start()
         warm = EvaluationCache(server.url)
         for app in FAST_APPS:
-            Explorer.for_app(app, cache=warm, on_error="skip").run(ExhaustiveSweep())
+            Explorer.for_app(app, cache=warm, on_error="skip").explore(
+                ExhaustiveSweep()
+            )
         if not warm.flush(timeout=60):
             raise AssertionError("write-behind queue failed to drain into server")
         warm.close_backend()
@@ -350,7 +364,7 @@ def _registry_resweep_remote_warm() -> PerfCase:
         points = 0
         for app in FAST_APPS:
             explorer = Explorer.for_app(app, cache=shared, on_error="skip")
-            result = explorer.run(ExhaustiveSweep())
+            result = explorer.explore(ExhaustiveSweep())
             evals += len(result.records)
             points += len(explorer.space)
         if shared.misses:
@@ -406,7 +420,7 @@ def _frontier_vs_exhaustive(
     def run(_: Any) -> CaseRun:
         space = _densified_space(app, budget_fractions, onchip_counts)
         with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
-            full = explorer.run(ExhaustiveSweep())
+            full = explorer.explore(ExhaustiveSweep())
         reference = pareto_front([r.report for r in full.records])
         budget = SearchBudget(
             max_oracle_calls=max(1, math.floor(0.20 * full.oracle_calls))
@@ -569,7 +583,9 @@ def _service_first_result_latency() -> PerfCase:
 
         state_dir = Path(tempfile.mkdtemp(prefix="repro-perf-firstresult-"))
         warm = EvaluationCache(path=state_dir / "cache")
-        Explorer.for_app("cavity", cache=warm, on_error="skip").run(ExhaustiveSweep())
+        Explorer.for_app("cavity", cache=warm, on_error="skip").explore(
+            ExhaustiveSweep()
+        )
         spacecache.build("cavity", root=state_dir / "spaces")
         return {"dir": state_dir}
 
@@ -659,7 +675,9 @@ def _service_concurrent_clients(
         from ..service import ServiceConfig, ServiceThread
 
         cache = EvaluationCache()
-        Explorer.for_app("cavity", cache=cache, on_error="skip").run(ExhaustiveSweep())
+        Explorer.for_app("cavity", cache=cache, on_error="skip").explore(
+            ExhaustiveSweep()
+        )
         server = ServiceThread(
             ServiceConfig(port=0, batch_size=8, max_inflight_batches=8),
             cache=cache,
@@ -749,9 +767,11 @@ def register_builtin_cases(replace: bool = False) -> None:
         register_case(_sweep_cold(app), replace=replace)
         register_case(_resweep_memoized(app), replace=replace)
     register_case(_oracle_single("btpc"), replace=replace)
+    register_case(_sweep_cold("btpc"), replace=replace)
     register_case(_frontier_vs_exhaustive_cavity(), replace=replace)
     register_case(_frontier_vs_exhaustive_btpc(), replace=replace)
-    register_case(_sweep_parallel_cavity(), replace=replace)
+    for app in ("cavity", "btpc"):
+        register_case(_sweep_parallel(app), replace=replace)
     register_case(_sweep_parallel_warm_pool_cavity(), replace=replace)
     register_case(_registry_sweep_warm_disk(), replace=replace)
     register_case(_registry_resweep_warm_decoded(), replace=replace)

@@ -364,13 +364,13 @@ class SweepService:
     def _prepare(
         self, explorer: Explorer, points: Sequence[DesignPoint]
     ) -> List[_Prepared]:
-        """Fingerprint a batch (worker thread: builds programs/requests)."""
-        prepared: List[_Prepared] = []
-        for point in points:
-            request = explorer.request_for(point)
-            fingerprint = explorer.fingerprint_point(point, request)
-            prepared.append((point, fingerprint, request.program.name))
-        return prepared
+        """Fingerprint a batch (worker thread: may build variant programs)."""
+        space = explorer.space
+        fingerprints = explorer.fingerprint_points(points)
+        return [
+            (point, fingerprint, space.program(point.variant).name)
+            for point, fingerprint in zip(points, fingerprints)
+        ]
 
     async def _evaluate_owned(
         self,

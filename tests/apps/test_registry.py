@@ -77,7 +77,7 @@ def test_custom_app_spec_round_trips_through_registry(monkeypatch):
     )
     assert "toy" in list_apps()
     space = DesignSpace.for_app("toy")
-    result = Explorer(space).run(ExhaustiveSweep())
+    result = Explorer(space).explore(ExhaustiveSweep())
     assert [record.label for record in result.records] == ["baseline"]
 
 
@@ -171,7 +171,7 @@ def test_btpc_registry_space_shares_study_fingerprints(study):
     space = DesignSpace.for_app("btpc", constraints=study.constraints)
     explorer = Explorer(space, cache=study.explorer.cache)
     points = [space.point(name) for name in STRUCTURING_VARIANTS]
-    result = explorer.run(ExhaustiveSweep(points=points))
+    result = explorer.explore(ExhaustiveSweep(points=points))
     assert [record.label for record in result.records] == list(
         STRUCTURING_VARIANTS
     )

@@ -144,13 +144,13 @@ class TestHandshake:
 class TestSharedCorpus:
     def test_second_client_sweeps_with_zero_oracle_evals(self, server):
         first = Explorer.for_app("cavity", cache=server.url, on_error="skip")
-        cold = first.run(ExhaustiveSweep())
+        cold = first.explore(ExhaustiveSweep())
         assert first.cache.misses > 0  # the cold sweep did real work
         assert first.cache.flush(timeout=30)
         first.cache.close_backend()
 
         second = Explorer.for_app("cavity", cache=server.url, on_error="skip")
-        warm = second.run(ExhaustiveSweep())
+        warm = second.explore(ExhaustiveSweep())
         assert second.cache.misses == 0  # zero duplicate oracle evals
         assert len(warm.records) == len(cold.records)
         assert {r.fingerprint for r in warm.records} == {
@@ -207,7 +207,7 @@ class TestSharedCorpus:
             worker.cache.close_backend()
         merged = ExplorationResult.merged(partials)
 
-        reference = pilot.run(ExhaustiveSweep())
+        reference = pilot.explore(ExhaustiveSweep())
         assert pilot.cache.misses == 0  # shard workers fed the corpus
         assert {r.fingerprint for r in merged.records} == {
             r.fingerprint for r in reference.records

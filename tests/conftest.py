@@ -50,7 +50,7 @@ def registry_sweeps():
     sweeps = {}
     for name in ("cavity", "motion", "wavelet"):
         explorer = Explorer.for_app(name, on_error="skip")
-        sweeps[name] = (explorer.run(ExhaustiveSweep()), explorer)
+        sweeps[name] = (explorer.explore(ExhaustiveSweep()), explorer)
     return sweeps
 
 

@@ -163,7 +163,7 @@ point = space.point(
     n_onchip=TABLE3_ALLOCATION,
     label="85% budget",
 )
-print(json.dumps(Explorer(space).evaluate(point).report.to_dict()))
+print(json.dumps(Explorer(space).evaluate_many([point])[0].report.to_dict()))
 """
 
 

@@ -483,33 +483,27 @@ def test_stats_dict_reports_decoded_tier():
 
 
 # ----------------------------------------------------------------------
-# Full-result store bound
+# In-memory result store bound
 # ----------------------------------------------------------------------
 def test_results_store_bounded_with_lru_recency():
-    """The results-leak fix: full PmmResults obey the backend bound."""
+    """The decoded tier, the only in-memory result store, is LRU-bounded."""
     from repro.costs.report import CostReport
 
     shared = EvaluationCache(max_entries=2)
-    results = [object() for _ in range(4)]
-    for index, result in enumerate(results[:3]):
-        shared.store(f"fp{index}", CostReport(label=f"r{index}"), result)
-    assert len(shared.results) == 2
-    assert shared.get_result("fp0") is None  # evicted, oldest first
-    assert shared.get_result("fp1") is results[1]  # refreshed recency
-    shared.store("fp3", CostReport(label="r3"), results[3])
-    # fp2 was least recently used after the fp1 touch above.
-    assert shared.get_result("fp2") is None
-    assert shared.get_result("fp1") is results[1]
-    assert shared.get_result("fp3") is results[3]
-
-
-def test_store_result_keeps_first_pinned_result():
-    shared = EvaluationCache()
-    first, second = object(), object()
-    shared.store_result("fp", first)
-    shared.store_result("fp", second)  # deterministic re-run: same content
-    assert shared.get_result("fp") is first
-    assert len(shared.results) == 1
+    for index in range(3):
+        shared.store(f"fp{index}", CostReport(label=f"r{index}"))
+    assert shared.decoded_entries == 2
+    assert shared.lookup("fp1")[0].label == "r1"  # refreshes recency
+    assert shared.decoded_hits == 1
+    shared.store("fp3", CostReport(label="r3"))
+    # fp2 was least recently used after the fp1 probe above: it left
+    # the tier, while fp1 and fp3 still resolve without the backend.
+    assert shared.decoded_entries == 2
+    shared.lookup("fp1")
+    shared.lookup("fp3")
+    assert shared.decoded_hits == 3
+    shared.lookup("fp2")
+    assert shared.decoded_hits == 3
 
 
 # ----------------------------------------------------------------------
@@ -679,11 +673,11 @@ def _space():
 def test_explorer_accepts_path_as_cache(tmp_path):
     cache_dir = tmp_path / "cache"
     first = Explorer(_space(), cache=cache_dir)
-    first.run(ExhaustiveSweep())
+    first.explore(ExhaustiveSweep())
     assert isinstance(first.cache.backend, DiskCache)
     assert first.cache.misses == 4
     second = Explorer(_space(), cache=cache_dir)
-    second.run(ExhaustiveSweep())
+    second.explore(ExhaustiveSweep())
     assert second.cache.misses == 0
     assert second.cache.hits == 4
 
@@ -691,7 +685,7 @@ def test_explorer_accepts_path_as_cache(tmp_path):
 def test_explorer_accepts_bare_backend():
     backend = MemoryCache(max_entries=64)
     explorer = Explorer(_space(), cache=backend)
-    explorer.run(ExhaustiveSweep())
+    explorer.explore(ExhaustiveSweep())
     assert explorer.cache.backend is backend
     assert backend.stats.stores == 4
     # One backend probe per cold point: misses are not double-counted.
@@ -703,11 +697,11 @@ def test_explorer_memo_stays_bounded_under_long_runs():
     backend = MemoryCache(max_entries=2)
     explorer = Explorer(_space(), cache=backend)
     for _ in range(3):  # repeated strategy runs over 4 points
-        explorer.run(ExhaustiveSweep())
+        explorer.explore(ExhaustiveSweep())
     assert len(backend) == 2
     assert backend.stats.evictions >= 2
     # Evicted points simply re-evaluate: correctness is unaffected.
-    rerun = explorer.run(ExhaustiveSweep())
+    rerun = explorer.explore(ExhaustiveSweep())
     assert len(rerun.records) == 4
 
 
@@ -716,14 +710,14 @@ def test_evaluation_cache_failures_persist_to_disk(tmp_path):
     space = _space()
     space.onchip_counts = (2, 10)  # 10 is infeasible for a 3-group program
     first = Explorer(space, cache=cache_dir, on_error="skip")
-    first.run(ExhaustiveSweep())
+    first.explore(ExhaustiveSweep())
     assert first.failures
     # A fresh explorer over the same directory re-runs *nothing*: both
     # the reports and the negative results are warm.
     second = Explorer(_space(), cache=cache_dir, on_error="skip")
     space2 = second.space
     space2.onchip_counts = (2, 10)
-    second.run(ExhaustiveSweep())
+    second.explore(ExhaustiveSweep())
     assert second.cache.misses == 0
     assert len(second.failures) == len(first.failures)
 
@@ -736,14 +730,14 @@ def test_persisted_failure_raises_in_raise_mode(tmp_path):
     space = _space()
     space.onchip_counts = (10,)  # infeasible for a 3-group program
     skip = Explorer(space, cache=cache_dir, on_error="skip")
-    skip.run(ExhaustiveSweep())
+    skip.explore(ExhaustiveSweep())
     assert skip.failures
 
     strict_space = _space()
     strict_space.onchip_counts = (10,)
     strict = Explorer(strict_space, cache=cache_dir)
     with pytest.raises(ExplorationError):
-        strict.evaluate(strict_space.points()[0])
+        strict.evaluate_many(strict_space.points()[:1])
 
 
 _WARM_SCRIPT = """
@@ -770,7 +764,7 @@ space = DesignSpace(
 space.add_variant("taps8", program=builder.build())
 
 explorer = Explorer(space, cache=sys.argv[1])
-explorer.run(ExhaustiveSweep())
+explorer.explore(ExhaustiveSweep())
 print(f"misses={explorer.cache.misses} hits={explorer.cache.hits}")
 """
 
@@ -818,14 +812,14 @@ def test_preexisting_json_cache_dir_stays_warm_under_compact(
     oracle re-evaluations."""
     cache_dir = tmp_path / "cache"
     legacy = Explorer(_space())
-    legacy.run(ExhaustiveSweep())
+    legacy.explore(ExhaustiveSweep())
     assert legacy.cache.misses == 4
     for key in legacy.cache.backend.keys():
         legacy_json_shard(cache_dir, key, legacy.cache.backend.get(key))
     assert len(sorted(cache_dir.rglob("*.json"))) == 4
 
     modern = Explorer(_space(), cache=cache_dir)
-    modern.run(ExhaustiveSweep())
+    modern.explore(ExhaustiveSweep())
     assert modern.cache.misses == 0
     assert modern.cache.hits == 4
     assert modern.cache.backend.stats.corrupt == 0

@@ -116,9 +116,7 @@ def test_shared_cache_between_threaded_explorers():
 # ----------------------------------------------------------------------
 def test_close_during_inflight_evaluate_many():
     """A concurrent close() must not lose the batch (serial fallback)."""
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     results = []
     errors = []
     started = threading.Event()
@@ -194,9 +192,7 @@ def test_worker_runtimeerror_propagates_and_keeps_pool():
     path; anything else must propagate instead of silently discarding
     a healthy pool (and losing parallelism for every later batch).
     """
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     pool = _OracleBugPool()
     explorer._pool = pool
     with pytest.raises(RuntimeError, match="oracle exploded"):
@@ -208,9 +204,7 @@ def test_worker_runtimeerror_propagates_and_keeps_pool():
 
 def test_broken_pool_recovery_under_concurrent_callers():
     """Concurrent batches on a dead pool all recover via the serial path."""
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     dead_pool = _ExplodingPool()
     explorer._pool = dead_pool
     points = explorer.space.points()

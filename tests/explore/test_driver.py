@@ -139,7 +139,7 @@ class TestDriverBudgets:
         space = _fir_space()
         cache = MemoryCache()
         with Explorer(space, cache=cache, on_error="skip") as explorer:
-            explorer.run(ExhaustiveSweep())
+            explorer.explore(ExhaustiveSweep())
         with Explorer(space, cache=cache, on_error="skip") as explorer:
             result = explorer.explore(
                 ExhaustiveSweep(), budget=SearchBudget(max_oracle_calls=1)
@@ -215,17 +215,59 @@ class TestDriverBudgets:
         # through the driver (as opposed to a driver run's "completed").
         assert loaded.stopped == ""
 
-    def test_run_shim_matches_explore(self):
+
+# ----------------------------------------------------------------------
+# Charging in-batch duplicates
+# ----------------------------------------------------------------------
+class _Scripted(SearchStrategy):
+    """Proposes a fixed list of point batches, one per round."""
+
+    name = "scripted"
+
+    def __init__(self, batches):
+        self.batches = [list(batch) for batch in batches]
+
+    def begin(self, explorer):
+        self._pending = list(self.batches)
+
+    def propose(self, state):
+        return self._pending.pop(0) if self._pending else None
+
+
+class TestDuplicateCharging:
+    def test_repeated_fresh_point_is_charged_once(self):
         space = _fir_space()
-        cache = MemoryCache()
-        with Explorer(space, cache=cache, on_error="skip") as explorer:
-            via_run = explorer.run(ExhaustiveSweep())
-        with Explorer(space, cache=cache, on_error="skip") as explorer:
-            via_explore = explorer.explore(ExhaustiveSweep())
-        assert [r.fingerprint for r in via_run.records] == [
-            r.fingerprint for r in via_explore.records
-        ]
-        assert via_run.stopped == via_explore.stopped == "completed"
+        point = space.point("taps8")
+        with _explorer(space) as explorer:
+            result = explorer.explore(_Scripted([[point, point]]))
+        assert [r.cache_hit for r in result.records] == [False, True]
+        assert explorer.cache.misses == 1
+        assert result.rounds[0].oracle_calls == 1
+        assert result.oracle_calls == 1
+
+    def test_one_call_budget_stops_after_the_duplicate_round(self):
+        space = _fir_space()
+        first, second = space.point("taps8"), space.point("taps4")
+        with _explorer(space) as explorer:
+            result = explorer.explore(
+                _Scripted([[first, first], [second]]),
+                budget=SearchBudget(max_oracle_calls=1),
+            )
+        assert result.stopped == "budget_exhausted"
+        assert result.stop_reason == "max_oracle_calls"
+        assert len(result.rounds) == 1
+        assert explorer.cache.misses == result.oracle_calls == 1
+
+    def test_duplicates_cannot_overshoot_the_oracle_budget(self):
+        space = _fir_space()
+        batches = [[space.point(v), space.point(v)] for v in ("taps8", "taps4")]
+        batches.append([space.point("taps8", n_onchip=2)])
+        with _explorer(space) as explorer:
+            result = explorer.explore(
+                _Scripted(batches), budget=SearchBudget(max_oracle_calls=2)
+            )
+        assert result.stop_reason == "max_oracle_calls"
+        assert explorer.cache.misses == result.oracle_calls == 2
 
 
 # ----------------------------------------------------------------------

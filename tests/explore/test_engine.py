@@ -10,6 +10,7 @@ from repro.api import (
     DesignSpace,
     EvaluationCache,
     ExhaustiveSweep,
+    ExplorationError,
     ExplorationRecord,
     ExplorationResult,
     Explorer,
@@ -35,13 +36,13 @@ def _fir_program(taps):
     return builder.build()
 
 
-def _fir_space():
+def _fir_space(onchip_counts=(None, 2)):
     space = DesignSpace(
         "fir",
         cycle_budget=50_000,
         frame_time_s=1e-3,
         budget_fractions=(1.0, 0.9, 0.8),
-        onchip_counts=(None, 2),
+        onchip_counts=onchip_counts,
     )
     space.add_variant("taps8", build=lambda: _fir_program(8))
     space.add_variant("taps4", build=lambda: _fir_program(4))
@@ -52,7 +53,7 @@ def _fir_space():
 def serial_result():
     """One serial exhaustive sweep shared by the comparison tests."""
     explorer = Explorer(_fir_space())
-    return explorer.run(ExhaustiveSweep()), explorer
+    return explorer.explore(ExhaustiveSweep()), explorer
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +68,7 @@ def test_sweep_covers_space_and_misses_cold_cache(serial_result):
 
 def test_rerun_is_all_cache_hits(serial_result):
     result, explorer = serial_result
-    rerun = explorer.run(ExhaustiveSweep())
+    rerun = explorer.explore(ExhaustiveSweep())
     assert rerun.cache_hit_count() == len(rerun.records) == 12
     assert [r.report.to_dict() for r in rerun.records] == [
         r.report.to_dict() for r in result.records
@@ -92,9 +93,9 @@ def test_fingerprint_ignores_label_but_not_knobs(serial_result):
 def test_cache_persists_to_disk(tmp_path):
     space = _fir_space()
     first = Explorer(space, cache=EvaluationCache(path=tmp_path / "cache"))
-    first.run(ExhaustiveSweep())
+    first.explore(ExhaustiveSweep())
     second = Explorer(space, cache=EvaluationCache(path=tmp_path / "cache"))
-    rerun = second.run(ExhaustiveSweep())
+    rerun = second.explore(ExhaustiveSweep())
     assert rerun.cache_hit_count() == len(rerun.records)
     assert second.cache.misses == 0
 
@@ -106,7 +107,7 @@ def test_parallel_sweep_matches_serial(serial_result):
     """workers=1 and workers=4 must produce identical cost reports."""
     result, _ = serial_result
     parallel = Explorer(_fir_space(), workers=4)
-    parallel_result = parallel.run(ExhaustiveSweep())
+    parallel_result = parallel.explore(ExhaustiveSweep())
     assert [r.report.to_dict() for r in parallel_result.records] == [
         r.report.to_dict() for r in result.records
     ]
@@ -120,8 +121,8 @@ def test_parallel_sweep_matches_serial(serial_result):
 
 def test_parallel_rerun_hits_cache(serial_result):
     parallel = Explorer(_fir_space(), workers=2)
-    parallel.run(ExhaustiveSweep())
-    rerun = parallel.run(ExhaustiveSweep())
+    parallel.explore(ExhaustiveSweep())
+    rerun = parallel.explore(ExhaustiveSweep())
     assert rerun.cache_hit_count() == len(rerun.records)
     restored = ExplorationResult.from_json(rerun.to_json())
     assert restored.to_dict() == rerun.to_dict()
@@ -130,7 +131,7 @@ def test_parallel_rerun_hits_cache(serial_result):
 def test_persistent_pool_reused_across_batches_and_deterministic(serial_result):
     """One pool serves every batch, and results stay bit-identical."""
     result, _ = serial_result
-    explorer = Explorer(_fir_space(), workers=2, min_parallel_batch=2)
+    explorer = Explorer(_fir_space(), workers=2)
     points = explorer.space.points()
     first_half = explorer.evaluate_many(points[:6])
     pool = explorer._pool
@@ -147,14 +148,13 @@ def test_persistent_pool_reused_across_batches_and_deterministic(serial_result):
 
 
 def test_small_batches_fall_back_to_serial():
-    """Below min_parallel_batch a cold explorer never pays fork cost."""
-    explorer = Explorer(_fir_space(), workers=4, min_parallel_batch=4)
+    """Below MIN_PARALLEL_BATCH a cold explorer never pays fork cost."""
+    assert Explorer.MIN_PARALLEL_BATCH == 4
+    explorer = Explorer(_fir_space(), workers=4)
     points = explorer.space.points()
     records = explorer.evaluate_many(points[:2])
     assert len(records) == 2
     assert explorer._pool is None  # serial fallback: no pool spun up
-    # Serial batches store reports only, exactly like parallel ones.
-    assert explorer.cache.get_result(records[0].fingerprint) is None
     # A batch at the threshold spins the pool up; afterwards even tiny
     # batches reuse the warm pool rather than falling back.
     explorer.evaluate_many(points[2:6])
@@ -166,18 +166,60 @@ def test_small_batches_fall_back_to_serial():
 
 
 def test_explorer_context_manager_closes_pool():
-    with Explorer(_fir_space(), workers=2, min_parallel_batch=2) as explorer:
+    with Explorer(_fir_space(), workers=2) as explorer:
         explorer.evaluate_many(explorer.space.points()[:4])
         assert explorer._pool is not None
     assert explorer._pool is None
     # close() is idempotent and the explorer stays usable afterwards.
     explorer.close()
-    assert explorer.evaluate(explorer.space.points()[0]).cache_hit
+    assert explorer.evaluate_many(explorer.space.points()[:1])[0].cache_hit
 
 
-def test_explorer_rejects_bad_min_parallel_batch():
-    with pytest.raises(ValueError):
-        Explorer(_fir_space(), min_parallel_batch=1)
+# ----------------------------------------------------------------------
+# One miss loop: serial and pooled oracles agree
+# ----------------------------------------------------------------------
+def _run_batch(workers, on_error):
+    """One batch over a space with infeasible corners, plus duplicates."""
+    explorer = Explorer(
+        _fir_space(onchip_counts=(None, 2, 10)), workers=workers, on_error=on_error
+    )
+    points = explorer.space.points()
+    points += points[:3]  # in-batch duplicates resolve as hits
+    try:
+        records = explorer.evaluate_many(points)
+        error = None
+    except ExplorationError as exc:
+        records, error = [], str(exc)
+    pooled = explorer._pool is not None
+    explorer.close()
+    backend = explorer.cache.backend
+    return {
+        "records": [(r.report.to_dict(), r.cache_hit, r.fingerprint) for r in records],
+        "failures": list(explorer.failures),
+        "keys": set(backend.lookup_many(explorer.fingerprint_points(points))),
+        "error": error,
+        "pooled": pooled,
+    }
+
+
+@pytest.mark.parametrize("on_error", ["skip", "raise"])
+def test_serial_and_pooled_miss_loops_agree(on_error):
+    serial = _run_batch(1, on_error)
+    pooled = _run_batch(2, on_error)
+    assert not serial.pop("pooled")
+    assert pooled.pop("pooled")  # the batch really went through the pool
+    assert pooled == serial
+    if on_error == "skip":
+        assert serial["error"] is None
+        assert len(serial["failures"]) == 6  # the n_onchip=10 corners
+        # 12 feasible points plus two duplicates (the third is a corner).
+        assert len(serial["records"]) == 12 + 2
+    else:
+        # Both stop at the first infeasible point, after storing every
+        # earlier success.
+        assert "failed" in serial["error"]
+        assert serial["records"] == [] and serial["failures"] == []
+        assert len(serial["keys"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +246,7 @@ def test_duplicate_fresh_points_count_one_miss():
 def test_duplicate_cached_points_count_one_decoded_hit():
     explorer = Explorer(_fir_space())
     point = explorer.space.point("taps8")
-    explorer.evaluate(point)
+    explorer.evaluate_many([point])
     hits_before = explorer.cache.backend.stats.hits
     decoded_before = explorer.cache.decoded_hits
     records = explorer.evaluate_many([point, point])
@@ -259,7 +301,7 @@ def test_greedy_stepwise_decides_each_step():
             select=lambda records: records[-1],
         ),
     ]
-    result = explorer.run(GreedyStepwise(steps))
+    result = explorer.explore(GreedyStepwise(steps))
     assert set(result.decisions) == {"variant", "allocation"}
     # taps4 halves the coeff traffic: greedy min-power must pick it.
     assert result.decisions["variant"] == "taps4"
@@ -277,13 +319,20 @@ def test_greedy_unknown_label_raises():
         explorer.explore(walk)
 
 
-def test_infeasible_points_raise_by_default():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_infeasible_points_raise_by_default(workers):
     space = _fir_space()
-    explorer = Explorer(space)
+    explorer = Explorer(space, workers=workers)
     # The FIR program has three basic groups; asking for ten on-chip
-    # memories is infeasible for the allocator.
-    with pytest.raises(Exception):
-        explorer.evaluate(space.point("taps8", n_onchip=10))
+    # memories is infeasible for the allocator.  A threshold-sized
+    # batch sends workers=2 through the pool.
+    points = space.points()[:3] + [space.point("taps8", n_onchip=10)]
+    with pytest.raises(ExplorationError):
+        explorer.evaluate_many(points)
+    assert (explorer._pool is not None) == (workers > 1)
+    explorer.close()
+    # The successes ahead of the failure were stored before it raised.
+    assert len(explorer.cache.backend) == 3
 
 
 def test_infeasible_points_skippable():
@@ -304,13 +353,12 @@ def test_infeasible_points_skippable():
 
 def test_infeasible_points_skippable_parallel():
     space = _fir_space()
-    # min_parallel_batch=2 forces the two-point batch through the pool
-    # (the default threshold would fall back to the serial path).
-    explorer = Explorer(space, workers=2, min_parallel_batch=2, on_error="skip")
-    points = [space.point("taps8"), space.point("taps8", n_onchip=10)]
+    # A threshold-sized batch goes through the pool.
+    explorer = Explorer(space, workers=2, on_error="skip")
+    points = space.points()[:3] + [space.point("taps8", n_onchip=10)]
     records = explorer.evaluate_many(points)
     assert explorer._pool is not None  # the pool really was exercised
-    assert len(records) == 1
+    assert len(records) == 3
     assert len(explorer.failures) == 1
     assert "10" in explorer.failures[0][1]
     explorer.close()
@@ -327,7 +375,7 @@ def test_pareto_refine_with_skipped_points_keeps_pairing():
     space.add_variant("taps8", build=lambda: _fir_program(8))
     space.add_variant("taps4", build=lambda: _fir_program(4))
     explorer = Explorer(space, on_error="skip")
-    result = explorer.run(ParetoRefine())
+    result = explorer.explore(ParetoRefine())
     # Every record maps back to its own point (no positional drift),
     # and failed points are attempted once, not once per round.
     for record in result.records:
@@ -337,38 +385,11 @@ def test_pareto_refine_with_skipped_points_keeps_pairing():
     assert len(failed_points) == len(set(failed_points))
 
 
-def test_evaluate_program_retains_result_after_parallel_fill():
-    space = _fir_space()
-    explorer = Explorer(space, workers=2)
-    explorer.run(ExhaustiveSweep())  # parallel: cache holds reports only
-    point = space.point("taps8")
-    fingerprint = explorer.evaluate(point).fingerprint
-    assert explorer.cache.get_result(fingerprint) is None
-    record, result = explorer.evaluate_program(
-        space.program("taps8"),
-        label="relabeled",
-        cycle_budget=space.cycle_budget,
-        frame_time_s=space.frame_time_s,
-    )
-    assert record.cache_hit
-    # The recomputed PmmResult is kept for later callers, and the
-    # returned result carries the caller's label.
-    assert explorer.cache.get_result(fingerprint) is not None
-    assert result.report.label == "relabeled"
-    _, second = explorer.evaluate_program(
-        space.program("taps8"),
-        label="again",
-        cycle_budget=space.cycle_budget,
-        frame_time_s=space.frame_time_s,
-    )
-    assert second.report.label == "again"
-
-
 def test_pareto_refine_stays_inside_space_and_reuses_cache():
     space = _fir_space()
     explorer = Explorer(space)
-    exhaustive = explorer.run(ExhaustiveSweep())
-    refined = explorer.run(ParetoRefine())
+    exhaustive = explorer.explore(ExhaustiveSweep())
+    refined = explorer.explore(ParetoRefine())
     assert refined.records  # evaluated something
     assert refined.cache_hit_count() == len(refined.records)  # all memoized
     assert len({r.point for r in refined.records}) == len(refined.records)
@@ -406,8 +427,8 @@ def test_shard_points_validates_arguments():
         explorer.shard_points(0, 0)
     with pytest.raises(ValueError):
         explorer.shard_points(2, 2)
-    with pytest.raises(ValueError):
-        Explorer().shard_points(2, 0)  # no space, no points
+    with pytest.raises(TypeError):
+        Explorer()  # an explorer always has a space to shard
 
 
 def test_merged_deduplicates_by_fingerprint(serial_result):

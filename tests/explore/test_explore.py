@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.costs import CostReport, MemoryCost, render_cost_table
-from repro.explore import ExplorationSession, dominates, knee_point, pareto_front
+from repro.explore import (
+    DesignPoint,
+    DesignSpace,
+    ExplorationRecord,
+    ExplorationSession,
+    Explorer,
+    dominates,
+    knee_point,
+    pareto_front,
+)
+from repro.ir.builder import ProgramBuilder
 from repro.memlib import MemoryKind
 
 
@@ -76,13 +86,25 @@ def test_knee_point_zero_span_axis():
     assert knee_point(front).label == "cool"
 
 
-def test_session_logs_and_chooses(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
+def _record(step, label, area=1.0, power=1.0):
+    return ExplorationRecord(
+        point=DesignPoint(variant="v", label=label),
+        report=_report(label, area, power),
+        fingerprint=f"fp-{label}",
+        step=step,
+        program_name="v",
     )
-    session.evaluate(btpc_program, "step A", "alt 1")
-    session.evaluate(btpc_program, "step A", "alt 2")
+
+
+def _logged(*records):
+    session = ExplorationSession()
+    for record in records:
+        session.log_record(record)
+    return session
+
+
+def test_session_logs_and_chooses():
+    session = _logged(_record("step A", "alt 1"), _record("step A", "alt 2"))
     assert len(session.alternatives("step A")) == 2
     session.choose("step A", "alt 2")
     assert [e.chosen for e in session.alternatives("step A")] == [False, True]
@@ -92,14 +114,12 @@ def test_session_logs_and_chooses(btpc_program, constraints):
     assert "step A" in tree and "=>" in tree
 
 
-def test_rechoosing_clears_previous_choice(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
+def test_rechoosing_clears_previous_choice():
+    session = _logged(
+        _record("step A", "alt 1"),
+        _record("step A", "alt 2"),
+        _record("step B", "other"),
     )
-    session.evaluate(btpc_program, "step A", "alt 1")
-    session.evaluate(btpc_program, "step A", "alt 2")
-    session.evaluate(btpc_program, "step B", "other")
     session.choose("step A", "alt 1")
     session.choose("step A", "alt 2")  # the designer changes their mind
     assert [e.chosen for e in session.alternatives("step A")] == [False, True]
@@ -110,14 +130,32 @@ def test_rechoosing_clears_previous_choice(btpc_program, constraints):
     assert [e.chosen for e in session.alternatives("step B")] == [True]
 
 
-def test_session_memoizes_repeated_evaluations(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
+def _fir_space():
+    def build():
+        builder = ProgramBuilder("fir")
+        builder.array("samples", shape=(4096,), bitwidth=12)
+        builder.array("output", shape=(4096,), bitwidth=16)
+        nest = builder.nest("filter", iterators=("i",), trips=(4096,))
+        sample = nest.read("samples", index=("i",))
+        nest.write("output", index=("i",), after=[sample])
+        return builder.build()
+
+    space = DesignSpace("fir", cycle_budget=50_000, frame_time_s=1e-3)
+    space.add_variant("fir", build=build)
+    return space
+
+
+def test_session_memoizes_repeated_evaluations():
+    explorer = Explorer(_fir_space())
+    point = explorer.space.point("fir")
+    records = explorer.evaluate_many(
+        [point.relabeled("alt 1"), point.relabeled("alt 1 again")], "step A"
     )
-    first = session.evaluate(btpc_program, "step A", "alt 1")
-    second = session.evaluate(btpc_program, "step A", "alt 1 again")
-    assert session.explorer.cache.hits == 1
+    session = _logged(*records)
+    # The second alternative is the same organization: a memo hit.
+    assert [record.cache_hit for record in records] == [False, True]
+    assert explorer.cache.misses == 1
+    first, second = session.evaluations
     assert first.report.memories == second.report.memories
     # The decision log keeps per-alternative labels even across cache hits.
     assert [e.report.label for e in session.evaluations] == ["alt 1", "alt 1 again"]

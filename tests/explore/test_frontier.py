@@ -31,7 +31,7 @@ def _densified(app, budget_fractions, onchip_counts):
 
 def _exhaustive(space):
     with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
-        return explorer.run(ExhaustiveSweep())
+        return explorer.explore(ExhaustiveSweep())
 
 
 def _frontier(space, budget):

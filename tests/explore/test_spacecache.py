@@ -48,11 +48,10 @@ def test_loaded_space_fingerprints_match_live_build(app, tmp_path):
     assert loaded.variant_names == live.space.variant_names
     assert _fingerprints(loaded_explorer) == _fingerprints(live)
     # And against the monolithic reference path, point by point.
-    for point in loaded.points():
-        request = loaded_explorer.request_for(point)
-        assert loaded_explorer.fingerprint_point(
-            point, request
-        ) == fingerprint_request(request)
+    points = loaded.points()
+    assert loaded_explorer.fingerprint_points(points) == [
+        fingerprint_request(loaded_explorer.request_for(point)) for point in points
+    ]
 
 
 def test_loaded_space_serves_the_precomputed_table(tmp_path):

@@ -205,7 +205,7 @@ class TestEvents:
         from repro.explore.engine import ExplorationRecord
 
         explorer = Explorer.for_app("cavity")
-        record = explorer.evaluate(cavity_space.points()[0], "test")
+        record = explorer.evaluate_many(cavity_space.points()[:1], "test")[0]
         event = record_event(record)
         decoded = ExplorationRecord.from_dict(event["record"])
         assert decoded.fingerprint == record.fingerprint
