@@ -355,6 +355,8 @@ class CacheServerThread:
     @property
     def url(self) -> str:
         host, port = self.address
+        if ":" in host:
+            host = f"[{host}]"  # an IPv6 literal
         return f"remote://{host}:{port}"
 
     @property

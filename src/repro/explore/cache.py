@@ -1001,13 +1001,19 @@ def parse_remote_url(url: str) -> Tuple[str, int, Optional[str]]:
 
     The optional path component names a **local** directory used as the
     read-through/write-through fallback while the server is
-    unreachable; without it the remote tier stands alone.
+    unreachable; without it the remote tier stands alone.  An IPv6
+    host is written in brackets (``remote://[::1]:8712``); the brackets
+    are URL syntax only and are stripped from the returned host.
     """
     if not url.startswith(REMOTE_SCHEME):
         raise ValueError(f"not a remote cache URL: {url!r}")
     rest = url[len(REMOTE_SCHEME) :]
     netloc, slash, path = rest.partition("/")
     host, colon, port_text = netloc.rpartition(":")
+    if netloc.startswith("["):
+        if not host.endswith("]"):
+            colon = ""  # remote://[::1] — the port is missing
+        host = host[1:-1]
     if not colon or not host or not port_text:
         raise ValueError(
             f"remote cache URL must be remote://host:port[/fallback/dir], "

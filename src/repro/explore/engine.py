@@ -855,23 +855,15 @@ class Explorer:
         cls,
         name: str,
         constraints: Optional[Any] = None,
-        *,
-        precompiled: Optional[bool] = None,
         **kwargs,
     ) -> "Explorer":
         """An explorer over a registered workload's default space.
 
         ``Explorer.for_app("cavity", workers=4)`` is the one-liner from
         registry to sweep; keyword arguments pass through to the
-        constructor.  ``precompiled`` is forwarded to
-        :meth:`DesignSpace.for_app` — a compiled spacecache artifact
-        (see :mod:`repro.explore.spacecache`) warms the space instantly
-        instead of rebuilding variant programs.
+        constructor.
         """
-        return cls(
-            DesignSpace.for_app(name, constraints, precompiled=precompiled),
-            **kwargs,
-        )
+        return cls(DesignSpace.for_app(name, constraints), **kwargs)
 
     # ------------------------------------------------------------------
     # Request resolution
@@ -896,21 +888,15 @@ class Explorer:
         """Content addresses for a whole batch in one assembly pass.
 
         Byte-identical to ``fingerprint_request(request_for(point))``
-        per point, but the batch shares everything shareable: the canonical program and
-        library fragments are fetched **once per distinct axis value**
-        (not per point), the knob segments — area weight, frame time,
-        seed, each distinct cycle budget and on-chip count — are
-        serialized once, and each point then pays one string join plus
-        one SHA-256.  No :class:`PmmRequest` (or any other per-point
+        per point, but the batch shares everything shareable: the
+        canonical program and library fragments are fetched **once per
+        distinct axis value** (not per point), the knob segments — area
+        weight, frame time, seed, each distinct cycle budget and on-chip
+        count — are serialized once, and each point then pays one string
+        join plus one SHA-256.  No :class:`PmmRequest` (or any other per-point
         object) is constructed.
-
-        When the space carries a precomputed fingerprint table (the
-        spacecache load path) and this explorer's knobs match it, a
-        point resolves to one dictionary probe; coordinates outside the
-        table fall back to live assembly within the same pass.
         """
         space = self.space
-        table = space.precomputed_fingerprints(self.area_weight, self.seed)
         dumps = json.dumps
         sha256 = hashlib.sha256
         prefix = (
@@ -924,18 +910,6 @@ class Explorer:
         program_json: Dict[str, str] = {}
         fingerprints: List[str] = []
         for point in points:
-            if table is not None:
-                cached = table.get(
-                    (
-                        point.variant,
-                        point.budget_fraction,
-                        point.n_onchip,
-                        point.library,
-                    )
-                )
-                if cached is not None:
-                    fingerprints.append(cached)
-                    continue
             budget = budget_txt.get(point.budget_fraction)
             if budget is None:
                 budget = budget_txt[point.budget_fraction] = dumps(

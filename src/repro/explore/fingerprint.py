@@ -175,23 +175,6 @@ def clear_fragment_memo() -> None:
     _FRAGMENTS.clear()
 
 
-def seed_fragment(value: Any, text: str) -> None:
-    """Install a precomputed canonical-JSON fragment for an object.
-
-    The spacecache load path (:mod:`repro.explore.spacecache`) carries
-    the canonical program/library JSON inside the compiled artifact;
-    seeding it here means a loaded space never re-canonicalizes what
-    the compile step already paid for.  Entries obey the same identity
-    revalidation and LRU bound as organically computed ones — a seeded
-    fragment for a replaced object simply misses.
-    """
-    key = id(value)
-    _FRAGMENTS[key] = (value, text)
-    _FRAGMENTS.move_to_end(key)
-    while len(_FRAGMENTS) > FRAGMENT_MEMO_ENTRIES:
-        _FRAGMENTS.popitem(last=False)
-
-
 def canonical_json(value: Any) -> str:
     """The canonical JSON text of a value, as embedded in fingerprints.
 

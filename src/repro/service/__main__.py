@@ -10,6 +10,10 @@ Examples::
     PYTHONPATH=src python -m repro.service --port 0 --workers 4 \
         --cache /var/tmp/repro-cache
 
+    # Build every registered app's space before the first request
+    # (a bare --preload; name apps to warm only those).
+    PYTHONPATH=src python -m repro.service --preload
+
 The server drains on SIGTERM/SIGINT: new work is rejected with 503,
 in-flight sweeps finish (bounded by ``--drain-seconds``), worker pools
 shut down, and the exit status reports the drain outcome (0 = clean).
@@ -20,8 +24,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
+from ..apps.registry import list_apps
 from .server import ServiceConfig, SweepService, serve
 
 
@@ -89,31 +94,34 @@ def _build_parser() -> argparse.ArgumentParser:
         "--preload",
         nargs="*",
         metavar="APP",
-        default=(),
-        help="apps to warm eagerly at startup",
-    )
-    parser.add_argument(
-        "--precompile",
-        nargs="*",
-        metavar="APP",
         default=None,
-        help="compile (or refresh) spacecache artifacts for these apps "
-        "at startup and warm through them; with no names, every "
-        "registered app (restarts then warm instantly)",
+        help="apps to warm eagerly at startup (explorer and space built); "
+        "with no names, every registered app",
     )
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    precompile_apps: tuple = ()
-    if args.precompile is not None:
-        if args.precompile:
-            precompile_apps = tuple(args.precompile)
-        else:
-            from ..apps.registry import list_apps
+def _preload_apps(
+    parser: argparse.ArgumentParser, names: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    """The apps ``--preload`` names: none, all (bare flag), or checked."""
+    if names is None:
+        return ()
+    registered = list_apps()
+    if not names:
+        return registered
+    unknown = [name for name in names if name not in registered]
+    if unknown:
+        parser.error(
+            f"--preload: unknown app(s) {', '.join(unknown)} "
+            f"(registered: {', '.join(registered)})"
+        )
+    return tuple(names)
 
-            precompile_apps = list_apps()
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -124,8 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_pending_points=args.max_pending_points,
         max_inflight_batches=args.max_inflight_batches,
         drain_seconds=args.drain_seconds,
-        preload_apps=tuple(args.preload),
-        precompile_apps=precompile_apps,
+        preload_apps=_preload_apps(parser, args.preload),
     )
     service = SweepService(config)
     drained = asyncio.run(serve(service))

@@ -52,7 +52,6 @@ from typing import (
 )
 
 from ..apps.registry import get_app, list_apps
-from ..explore import spacecache
 from ..explore.cache import CacheBackend
 from ..explore.engine import EvaluationCache, ExplorationRecord, Explorer
 from ..explore.space import DesignPoint
@@ -118,10 +117,6 @@ class ServiceConfig:
     drain_seconds: float = 10.0
     #: Apps to warm eagerly at startup (explorer + space built).
     preload_apps: Tuple[str, ...] = ()
-    #: Apps whose spacecache artifact is ensured (compiled if missing
-    #: or stale) at startup, then preloaded through it — the next
-    #: restart of this service warms from the artifact instantly.
-    precompile_apps: Tuple[str, ...] = ()
 
     def knobs(self) -> Dict[str, Any]:
         """The admission/batching knobs, surfaced by ``/v1/stats``."""
@@ -198,11 +193,7 @@ class SweepService:
         self.records_served = 0
         self.failures_served = 0
         self.points_coalesced = 0
-        for app in config.precompile_apps:
-            # Compiled artifacts make the *next* restart warm instantly;
-            # this start loads through them too (ensure = load-or-build).
-            spacecache.ensure(app)
-        for app in dict.fromkeys(config.precompile_apps + config.preload_apps):
+        for app in dict.fromkeys(config.preload_apps):
             self.explorer(app)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,9 @@ from repro.explore import (
     Explorer,
     MemoryCache,
     RemoteCache,
+    resolve_backend,
 )
+from repro.explore.cache import parse_remote_url
 
 
 @pytest.fixture()
@@ -234,6 +236,47 @@ class _GatedBackend(MemoryCache):
         if not self.gate.wait(10):
             raise RuntimeError("gate never opened")
         return super().store_many(payloads)
+
+
+# ----------------------------------------------------------------------
+def _ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
+class TestIpv6Url:
+    """``remote://[::1]:port`` reaches a server bound to IPv6 loopback."""
+
+    @pytest.fixture()
+    def server6(self):
+        with CacheServerThread(CacheServerConfig(host="::1", port=0)) as srv:
+            yield srv
+
+    def test_url_brackets_the_host_and_round_trips(self, server6):
+        port = server6.address[1]
+        assert server6.url == f"remote://[::1]:{port}"
+        assert parse_remote_url(server6.url) == ("::1", port, None)
+
+    @pytest.mark.parametrize("with_fallback", [False, True])
+    def test_bracketed_url_connects(self, server6, tmp_path, with_fallback):
+        suffix = str(tmp_path / "fb") if with_fallback else ""
+        url = f"remote://[::1]:{server6.address[1]}{suffix}"
+        client = resolve_backend(url)
+        try:
+            assert isinstance(client, RemoteCache)
+            client.put("k", {"v": 6})
+            assert client.flush(timeout=10)
+            assert client.get("k") == {"v": 6}
+            assert server6.core.backend.get("k") == {"v": 6}
+            if with_fallback:
+                assert client.fallback.get("k") is None  # the server took it
+        finally:
+            client.close(timeout=1.0)
 
 
 # ----------------------------------------------------------------------

@@ -618,6 +618,18 @@ def test_parse_remote_url_variants():
             parse_remote_url(bad)
 
 
+def test_parse_remote_url_strips_ipv6_brackets():
+    assert parse_remote_url("remote://[::1]:8712") == ("::1", 8712, None)
+    assert parse_remote_url("remote://[fe80::2%eth0]:9/var/fb") == (
+        "fe80::2%eth0",
+        9,
+        "/var/fb",
+    )
+    for bad in ("remote://[::1]", "remote://[::1]:", "remote://[]:80"):
+        with pytest.raises(ValueError):
+            parse_remote_url(bad)
+
+
 def test_resolve_backend_remote_variants(tmp_path):
     backend = resolve_backend("remote://127.0.0.1:1")
     assert isinstance(backend, RemoteCache)

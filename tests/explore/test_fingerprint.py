@@ -34,6 +34,17 @@ def test_incremental_fingerprints_match_reference_for_app(app):
     ]
 
 
+def test_non_default_knobs_match_reference_on_a_registered_app():
+    """Knobs other than the defaults still assemble the reference bytes."""
+    explorer = Explorer.for_app("motion", area_weight=0.25, seed=3)
+    points = explorer.space.points()
+    fingerprints = explorer.fingerprint_points(points)
+    assert fingerprints == [
+        fingerprint_request(explorer.request_for(point)) for point in points
+    ]
+    assert fingerprints != Explorer.for_app("motion").fingerprint_points(points)
+
+
 def test_fingerprint_from_parts_matches_reference_on_edge_knobs():
     """Float formatting and null knobs splice exactly as json.dumps does."""
     space = DesignSpace("edge", cycle_budget=12_345.678, frame_time_s=1e-3)

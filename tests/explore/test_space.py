@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import DesignPoint, DesignSpace, ProgramBuilder
+from repro.api import DesignPoint, DesignSpace, Explorer, ProgramBuilder, list_apps
 from repro.memlib import MemoryLibrary
 
 
@@ -102,3 +102,29 @@ def test_default_library_created():
         libraries={"lp": MemoryLibrary()},
     )
     assert list(custom.libraries) == ["lp"]
+
+
+# ----------------------------------------------------------------------
+# Restriction: sub-spaces share the parent's programs and addresses
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("app", sorted(list_apps()))
+def test_restricted_subspace_shares_programs_and_fingerprints(app):
+    parent = DesignSpace.for_app(app)
+    names = parent.variant_names
+    sub = parent.restricted(
+        variants=tuple(dict.fromkeys((names[0], names[-1]))),
+        budget_fractions=parent.budget_fractions[-1:],
+        onchip_counts=parent.onchip_counts[:1],
+        libraries=tuple(parent.libraries)[:1],
+    )
+    assert 0 < len(sub) <= len(parent)
+    for name in sub.variant_names:
+        assert sub.program(name) is parent.program(name)
+    points = sub.points()
+    assert set(points) <= set(parent.points())
+    expected = Explorer(parent).fingerprint_points(points)
+    assert Explorer(sub).fingerprint_points(points) == expected
+    with pytest.raises(KeyError):
+        parent.restricted(variants=["no-such-variant"])
+    with pytest.raises(KeyError):
+        parent.restricted(libraries=["no-such-library"])

@@ -1,8 +1,17 @@
 """The built-in perf cases against the real oracle (fast apps only)."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.perf import FAST_APPS, get_case, list_cases, run_case
+from repro.perf import FAST_APPS, BenchReport, get_case, list_cases, run_case
+
+BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "baselines"
+    / "perf_baseline.json"
+)
 
 
 def test_fast_apps_are_registered_workloads():
@@ -17,6 +26,18 @@ def test_every_fast_app_has_the_case_family():
         assert f"oracle_single_{app}" in names
         assert f"sweep_cold_{app}" in names
         assert f"resweep_memoized_{app}" in names
+
+
+def test_registered_cases_match_the_committed_baseline():
+    """Every registered case is gated: same names and tags as the baseline.
+
+    ``repro.perf compare`` skips a case the baseline lacks, so a case
+    registered without a baseline entry would silently go ungated.
+    """
+    baseline = BenchReport.from_json(BASELINE)
+    registered = {name: set(get_case(name).tags) for name in list_cases()}
+    committed = {case.name: set(case.tags) for case in baseline.cases}
+    assert registered == committed
 
 
 def test_oracle_single_case_counts_one_eval():
