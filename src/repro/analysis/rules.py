@@ -49,6 +49,19 @@ _SOCKET_METHODS = {
     "create_connection",
 }
 _THREADISH_TOKENS = ("thread", "flusher", "proc", "pool")
+#: ``EvaluationCache`` facade methods: each takes the cache lock, which
+#: worker threads hold across backend disk or network I/O.
+_CACHE_METHODS = {
+    "lookup",
+    "lookup_many",
+    "get_error",
+    "store",
+    "store_many",
+    "store_failure",
+    "stats_dict",
+    "flush",
+    "clear",
+}
 
 
 def _dotted(node: ast.AST) -> str:
@@ -110,6 +123,17 @@ def _blocking_call(node: ast.Call) -> Optional[str]:
     return None
 
 
+def _cache_facade_call(node: ast.Call) -> Optional[str]:
+    """A label when ``node`` calls a lock-taking cache facade method."""
+    func = node.func
+    if not isinstance(func, ast.Attribute) or func.attr not in _CACHE_METHODS:
+        return None
+    receiver = _dotted(func.value)
+    if "cache" not in receiver.rsplit(".", 1)[-1].lower():
+        return None
+    return f"{receiver}.{func.attr}(...)"
+
+
 def _walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
     """Walk ``root``'s body without entering nested function scopes."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(root))[::-1]
@@ -142,7 +166,10 @@ class NoBlockingInAsync(Rule):
     explain = (
         "Inside `async def` bodies, calls that block the thread — "
         "open(), time.sleep(), Path.read_bytes()/write_bytes(), socket "
-        "sendall/recv/connect, lock.acquire(), thread/pool join(), and "
+        "sendall/recv/connect, lock.acquire(), thread/pool join(), "
+        "cache facade calls (`<...cache>.lookup/lookup_many/get_error/"
+        "store/store_many/store_failure/stats_dict/flush/clear`, which "
+        "take the cache lock that workers hold across backend I/O), and "
         "synchronous `with <lock>:` blocks — stall the entire event "
         "loop, not just the current task.  Push the work to a thread "
         "with asyncio.to_thread(...) (passing the function, not calling "
@@ -157,7 +184,7 @@ class NoBlockingInAsync(Rule):
                 continue
             for node in _walk_same_scope(function):
                 if isinstance(node, ast.Call):
-                    label = _blocking_call(node)
+                    label = _blocking_call(node) or _cache_facade_call(node)
                     if label is not None:
                         yield self.finding(
                             module,

@@ -323,23 +323,6 @@ class _Evaluator:
         )
 
 
-def _partitions(items: Sequence[str]) -> Iterable[List[List[str]]]:
-    """All set partitions of ``items`` (used for the few off-chip groups)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _partitions(rest):
-        for index in range(len(partition)):
-            yield (
-                partition[:index]
-                + [[first] + partition[index]]
-                + partition[index + 1 :]
-            )
-        yield [[first]] + partition
-
-
 def _scalar(bins: Iterable[MemoryBin], area_weight: float) -> float:
     total = 0.0
     for memory_bin in bins:
@@ -347,48 +330,15 @@ def _scalar(bins: Iterable[MemoryBin], area_weight: float) -> float:
     return total
 
 
-def _assign_offchip(
-    groups: Sequence[str],
-    evaluator: _Evaluator,
-    area_weight: float,
-    sharing: bool = False,
-) -> List[MemoryBin]:
-    """Partition the (few) off-chip groups over DRAM parts.
-
-    Default policy matches the paper's tool: one signal per off-chip
-    memory.  ``sharing=True`` explores all set partitions instead
-    (chip-count-constrained designs may want it).
-    """
-    if not groups:
-        return []
-    if not sharing:
-        bins = []
-        for name in sorted(groups):
-            evaluated = evaluator.evaluate(frozenset((name,)), offchip=True)
-            if evaluated is None:
-                raise AssignmentError(f"group {name!r} fits no off-chip part")
-            bins.append(evaluated)
-        return bins
-    best: Optional[List[MemoryBin]] = None
-    best_cost = float("inf")
-    for partition in _partitions(sorted(groups)):
-        bins = []
-        legal = True
-        for part in partition:
-            evaluated = evaluator.evaluate(frozenset(part), offchip=True)
-            if evaluated is None:
-                legal = False
-                break
-            bins.append(evaluated)
-        if not legal:
-            continue
-        cost = _scalar(bins, area_weight)
-        if cost < best_cost:
-            best_cost = cost
-            best = bins
-    if best is None:
-        raise AssignmentError("no legal off-chip assignment exists")
-    return best
+def _assign_offchip(groups: Sequence[str], evaluator: _Evaluator) -> List[MemoryBin]:
+    """One off-chip memory per group, as in the paper's tool."""
+    bins = []
+    for name in sorted(groups):
+        evaluated = evaluator.evaluate(frozenset((name,)), offchip=True)
+        if evaluated is None:
+            raise AssignmentError(f"group {name!r} fits no off-chip part")
+        bins.append(evaluated)
+    return bins
 
 
 def _greedy_onchip(
@@ -514,16 +464,14 @@ def assign_memories(
     cycle_budget: float = 0.0,
     label: str = "",
     seed: int = 0,
-    strict: bool = False,
-    offchip_sharing: bool = False,
 ) -> AllocationResult:
     """Optimize the full memory architecture for ``program``.
 
     ``n_onchip`` fixes the number of on-chip memories (the Table 4
     exploration axis); ``None`` sweeps and returns the best; when the
-    requested count is infeasible the allocator grows it unless
-    ``strict``.  Register hierarchy layers (all-foreground groups) are
-    materialized as register files and never counted in ``n_onchip``.
+    requested count is infeasible the allocator grows it.  Register
+    hierarchy layers (all-foreground groups) are materialized as
+    register files and never counted in ``n_onchip``.
     """
     evaluator = _Evaluator(program, conflicts, library, frame_time_s, nest_loads)
 
@@ -545,9 +493,7 @@ def assign_memories(
     onchip_names = [g.name for g in onchip_groups]
     offchip_names = [g.name for g in offchip_groups]
 
-    offchip_bins = _assign_offchip(
-        offchip_names, evaluator, area_weight, sharing=offchip_sharing
-    )
+    offchip_bins = _assign_offchip(offchip_names, evaluator)
 
     if not onchip_names:
         counts = [0]
@@ -559,12 +505,9 @@ def assign_memories(
                 f"cannot allocate {n_onchip} on-chip memories for "
                 f"{len(onchip_names)} groups"
             )
-        if strict:
-            counts = [n_onchip]
-        else:
-            # A designer asked for N but bandwidth may demand more
-            # parallel memories: grow until feasible.
-            counts = list(range(n_onchip, len(onchip_names) + 1))
+        # A designer asked for N but bandwidth may demand more
+        # parallel memories: grow until feasible.
+        counts = list(range(n_onchip, len(onchip_names) + 1))
 
     traffic = {name: evaluator.counts[name].total for name in onchip_names}
     orders = [

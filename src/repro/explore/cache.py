@@ -14,7 +14,7 @@ evaluation under a content-addressed fingerprint.  This module owns
   (:mod:`repro.costs.report`'s struct-packed ``.rpc`` records) so
   warm-disk probes skip generic JSON decoding; legacy ``.json`` shards
   remain readable transparently, so existing cache directories stay
-  valid.
+  valid.  In memory it holds only a directory index, never payloads.
 * :class:`RemoteCache` — the **network tier**: a client for the
   :mod:`repro.cacheserver` server, so sweeps stay warm across
   *machines*.  Probes batch into single wire round trips; stores are
@@ -27,8 +27,12 @@ evaluation under a content-addressed fingerprint.  This module owns
 optional ``/local/fallback/dir`` path suffix), so
 ``Explorer(space, cache="remote://...")`` and ``python -m repro.service
 --cache remote://...`` plug whole worker fleets into one shared warm
-corpus.  The only in-memory tier above any of them is the
-:class:`~repro.explore.engine.EvaluationCache` decoded-report tier.
+corpus.  The only in-process copy of an evaluation is the
+:class:`~repro.explore.engine.EvaluationCache` decoded-report tier above
+them.  No backend keeps a read-side copy of its own: a
+:class:`DiskCache` (the ``remote://.../dir`` fallback included) holds a
+directory index, and a :class:`RemoteCache` holds only its unflushed
+write-behind queue.
 
 All three implement the :class:`CacheBackend` protocol and expose a
 :class:`CacheStats` counter block (hits, misses, stores, evictions,
@@ -262,14 +266,13 @@ class DiskCache:
     count it in ``stats.corrupt``, discard the file and treat the key
     as a miss instead of raising.
 
-    A read-through in-memory mirror makes repeated gets within one
-    process dictionary-cheap; ``max_entries`` (optional) bounds the
-    number of *on-disk* entries with least-recently-stored eviction
-    **and** the mirror itself with least-recently-used eviction —
-    reads fill the mirror, so without its own bound a long-lived
-    process re-reading a large corpus would grow memory without limit
-    (mirror eviction drops only the in-memory copy, never the shard
-    file).
+    In memory it keeps only a directory index (key -> shard suffix);
+    every hit reads its shard file, so the disk stays the single source
+    of truth and a sibling's ``clear`` or rewrite is seen on the next
+    read.  Repeated probes within one process are the job of the
+    :class:`~repro.explore.engine.EvaluationCache` decoded-report tier
+    above.  ``max_entries`` (optional) bounds the number of on-disk
+    entries with least-recently-stored eviction.
     """
 
     #: Read preference when a key exists in both formats (a legacy
@@ -287,8 +290,6 @@ class DiskCache:
         self.root = Path(root)
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Decoded payloads, LRU-ordered, bounded by ``max_entries``.
-        self._mirror: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         #: key -> shard suffix, in least-recently-stored-first order.
         self._known: "OrderedDict[str, str]" = OrderedDict()
         self.root.mkdir(parents=True, exist_ok=True)
@@ -319,21 +320,7 @@ class DiskCache:
         return iter(tuple(self._known))
 
     # ------------------------------------------------------------------
-    def _remember_mirror(self, key: str, payload: Dict[str, Any]) -> None:
-        """Mirror a decoded payload with LRU recency under the bound."""
-        mirror = self._mirror
-        mirror[key] = payload
-        mirror.move_to_end(key)
-        if self.max_entries is not None:
-            while len(mirror) > self.max_entries:
-                mirror.popitem(last=False)
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = self._mirror.get(key)
-        if payload is not None:
-            self._mirror.move_to_end(key)
-            self.stats.hits += 1
-            return payload
         if key not in self._known:
             # Route the miss through the directory index exactly like
             # ``lookup_many``: one refresh (absorbing sibling writes),
@@ -389,7 +376,6 @@ class DiskCache:
                 self.stats.corrupt += 1
                 self._unlink(path)
                 continue
-            self._remember_mirror(key, payload)
             # Plain assignment: appends unindexed keys, keeps the
             # recency slot of already-indexed ones.
             self._known[key] = suffix
@@ -428,26 +414,18 @@ class DiskCache:
     def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Bulk :meth:`get` over a batch of keys in one pass.
 
-        Mirror hits cost a dictionary probe; keys absent from the
-        directory index cost nothing on disk — the index is refreshed
-        with a *single* directory scan per batch (instead of a file
-        stat per point), which is what keeps a warm re-sweep's probe
-        phase flat as spaces grow.  Only files indexed as present are
-        read; corrupt shards are tolerated exactly as in :meth:`get`.
+        Keys absent from the directory index cost nothing on disk — the
+        index is refreshed with a *single* directory scan per batch
+        (instead of a file stat per point), which is what keeps a warm
+        re-sweep's probe phase flat as spaces grow.  Only files indexed
+        as present are read; corrupt shards are tolerated exactly as in
+        :meth:`get`.
         """
         unique = dict.fromkeys(keys)
-        if any(
-            key not in self._mirror and key not in self._known for key in unique
-        ):
+        if any(key not in self._known for key in unique):
             self._refresh_known()
         found: Dict[str, Dict[str, Any]] = {}
         for key in unique:
-            payload = self._mirror.get(key)
-            if payload is not None:
-                self._mirror.move_to_end(key)
-                self.stats.hits += 1
-                found[key] = payload
-                continue
             if key not in self._known:
                 self.stats.misses += 1
                 continue
@@ -479,20 +457,16 @@ class DiskCache:
         # A rewrite supersedes the entry's legacy .json shard: two live
         # files for one key would shadow updates.
         self._unlink(self._file(key, JSON_SUFFIX))
-        self._remember_mirror(key, dict(payload))
         self._known.pop(key, None)
         self._known[key] = COMPACT_SUFFIX
         self.stats.stores += 1
         while self.max_entries is not None and len(self._known) > self.max_entries:
             oldest, _ = self._known.popitem(last=False)
-            self._mirror.pop(oldest, None)
-            for suffix_ in self._SUFFIXES:
-                self._unlink(self._file(oldest, suffix_))
+            self._unlink_entry(oldest)
             self.stats.evictions += 1
 
-    def _discard(self, key: str) -> None:
-        self._mirror.pop(key, None)
-        self._known.pop(key, None)
+    def _unlink_entry(self, key: str) -> None:
+        """Remove a key's shard files in every format."""
         for suffix in self._SUFFIXES:
             self._unlink(self._file(key, suffix))
 
@@ -506,9 +480,8 @@ class DiskCache:
         cleared cache leaves nothing but its root behind.
         """
         self._refresh_known()
-        for key in tuple(self._known):
-            self._discard(key)
-        self._mirror.clear()
+        for key in self._known:
+            self._unlink_entry(key)
         self._known.clear()
         self.stats.reset()
         try:

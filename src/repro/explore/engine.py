@@ -746,10 +746,13 @@ class Explorer:
     retain_records:
         ``True`` (default) appends every evaluation to :attr:`records`
         and every skipped point to :attr:`failures` — what strategies
-        and result assembly expect.  ``False`` keeps both lists empty:
-        the mode for long-lived callers (the :mod:`repro.service`
-        server) that stream records straight to clients and must not
-        grow per-request state without bound.
+        and result assembly expect.  ``False`` keeps both lists empty,
+        and since oracle seconds and failure messages live only for
+        one :meth:`evaluate_many` batch, the explorer then holds no
+        per-evaluation state at all (the cache is the only memo): the
+        mode for long-lived callers (the :mod:`repro.service` server)
+        that stream records straight to clients and must not grow
+        per-request state without bound.
     """
 
     #: Smallest miss batch that spins up a cold pool.
@@ -781,8 +784,6 @@ class Explorer:
         self.retain_records = retain_records
         self.records: List[ExplorationRecord] = []
         self.failures: List[Tuple[DesignPoint, str]] = []
-        self._seconds: Dict[str, float] = {}
-        self._errors: Dict[str, str] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: Discards whose ``shutdown`` itself raised (the pool was that
@@ -992,11 +993,13 @@ class Explorer:
         if not points:
             return []
         fingerprints = self.fingerprint_points(points)
-        # Reports are pinned batch-locally as soon as they are resolved:
-        # a bounded backend may evict any entry between the cache probe
-        # and record assembly, and correctness must not depend on
-        # retention.
+        # Outcomes are pinned batch-locally as soon as they are
+        # resolved: a bounded backend may evict any entry between the
+        # cache probe and record assembly, and correctness must not
+        # depend on retention.  The cache is the only memo that
+        # outlives the batch.
         known: Dict[str, CostReport] = {}
+        errors: Dict[str, str] = {}
         fresh: Dict[str, PmmRequest] = {}
         pending: Dict[str, DesignPoint] = {}
         for fingerprint, point in zip(fingerprints, points):
@@ -1013,8 +1016,6 @@ class Explorer:
                 self.cache.count_hits()
                 continue
             if error is None:
-                error = self._errors.get(fingerprint)
-            if error is None:
                 # The only point on the batch path that materializes a
                 # request: the oracle needs one, a cache hit does not.
                 fresh[fingerprint] = self.request_for(point)
@@ -1025,7 +1026,11 @@ class Explorer:
                 raise ExplorationError(
                     f"evaluation of {point.display_label!r} failed: {error}"
                 )
-        computed = self._evaluate_misses(fresh)
+            else:
+                errors[fingerprint] = error
+        computed: Dict[str, CostReport] = {}
+        seconds: Dict[str, float] = {}
+        self._evaluate_misses(fresh, computed, seconds, errors)
         known.update(computed)
         records = []
         charged: set = set()  # computed fingerprints already attributed
@@ -1034,7 +1039,7 @@ class Explorer:
             report = known.get(fingerprint)
             if report is None:  # failed and on_error == "skip"
                 if self.retain_records:
-                    failure = (point, self._known_error(fingerprint) or "unknown")
+                    failure = (point, errors.get(fingerprint, "unknown"))
                     if failure not in self.failures:
                         self.failures.append(failure)
                 continue
@@ -1057,7 +1062,7 @@ class Explorer:
                 point=point,
                 report=report,
                 fingerprint=fingerprint,
-                seconds=self._seconds.get(fingerprint, 0.0) if miss else 0.0,
+                seconds=seconds[fingerprint] if miss else 0.0,
                 cache_hit=not miss,
                 step=step,
                 program_name=program_name,
@@ -1075,18 +1080,22 @@ class Explorer:
         return self._pool is not None or batch_size >= self.MIN_PARALLEL_BATCH
 
     def _evaluate_misses(
-        self, fresh: Dict[str, PmmRequest]
-    ) -> Dict[str, CostReport]:
+        self,
+        fresh: Dict[str, PmmRequest],
+        computed: Dict[str, CostReport],
+        seconds: Dict[str, float],
+        errors: Dict[str, str],
+    ) -> None:
         """Run the oracle for every fingerprint in ``fresh``.
 
         Outcomes come from the pool's ``map`` or from the builtin one,
-        and :meth:`_collect` consumes both the same way.  Returns the
-        computed reports so the caller does not depend on the cache
-        retaining them (a bounded backend may evict).
+        and :meth:`_collect` consumes both the same way, filling the
+        caller's batch-local ``computed``/``seconds``/``errors`` so the
+        caller does not depend on the cache retaining them (a bounded
+        backend may evict).
         """
-        computed: Dict[str, CostReport] = {}
         if not fresh:
-            return computed
+            return
         self.cache.count_misses(len(fresh))
         items = list(fresh.items())
         if self._use_pool(len(items)):
@@ -1098,8 +1107,8 @@ class Explorer:
                 outcomes = pool.map(
                     _evaluate_request, fresh.values(), chunksize=chunksize
                 )
-                self._collect(items, outcomes, computed)
-                return computed
+                self._collect(items, outcomes, computed, seconds, errors)
+                return
             except ExplorationError:
                 raise
             except (BrokenProcessPool, RuntimeError) as exc:
@@ -1122,43 +1131,35 @@ class Explorer:
                 self._discard_pool(pool)
                 items = [item for item in items if item[0] not in computed]
         outcomes = map(_evaluate_request, [request for _, request in items])
-        self._collect(items, outcomes, computed)
-        return computed
+        self._collect(items, outcomes, computed, seconds, errors)
 
     def _collect(
         self,
         items: Sequence[Tuple[str, PmmRequest]],
         outcomes: Iterable[Tuple[Optional[CostReport], float, Optional[str]]],
         computed: Dict[str, CostReport],
+        seconds: Dict[str, float],
+        errors: Dict[str, str],
     ) -> None:
-        """The one miss loop: store each success as it arrives.
+        """The one miss loop: store each outcome as it arrives.
 
         An interrupted sweep keeps what it computed.  In raise mode the
         first failure raises :class:`ExplorationError` after every
-        earlier success is stored.
+        earlier success is stored; in skip mode the failure is
+        negatively cached.
         """
-        for (fingerprint, request), (report, seconds, error) in zip(items, outcomes):
+        for (fingerprint, request), (report, elapsed, error) in zip(items, outcomes):
             if error is not None:
-                self._record_failure(fingerprint, request, error)
+                if self.on_error == "raise":
+                    raise ExplorationError(
+                        f"evaluation of {request.label!r} failed: {error}"
+                    )
+                self.cache.store_failure(fingerprint, error)
+                errors[fingerprint] = error
                 continue
             self.cache.store(fingerprint, report)
             computed[fingerprint] = report
-            self._seconds[fingerprint] = seconds
-
-    def _known_error(self, fingerprint: str) -> Optional[str]:
-        """This explorer's (or the shared cache's) failure memo."""
-        error = self._errors.get(fingerprint)
-        if error is not None:
-            return error
-        return self.cache.get_error(fingerprint)
-
-    def _record_failure(
-        self, fingerprint: str, request: PmmRequest, error: str
-    ) -> None:
-        if self.on_error == "raise":
-            raise ExplorationError(f"evaluation of {request.label!r} failed: {error}")
-        self._errors[fingerprint] = error
-        self.cache.store_failure(fingerprint, error)
+            seconds[fingerprint] = elapsed
 
     # ------------------------------------------------------------------
     def explore(

@@ -1,9 +1,9 @@
 """The async sweep server: exploration feedback as a shared service.
 
 One long-lived process owns a warm :class:`~repro.api.EvaluationCache`
-(decoded mirror + optional :class:`~repro.explore.cache.DiskCache`
-tiers) and one :class:`~repro.api.Explorer` per registered app, all
-sharing that cache.  Clients POST point-evaluation and sweep requests
+(the decoded-report tier over a memory, disk or remote backend) and one
+:class:`~repro.api.Explorer` per registered app, all sharing that
+cache.  Clients POST point-evaluation and sweep requests
 over plain HTTP (stdlib only — ``asyncio.start_server`` plus a minimal
 HTTP/1.1 layer) and receive :class:`~repro.api.ExplorationRecord`\\ s
 back as an NDJSON stream, batch by batch, while the sweep is still
@@ -323,7 +323,12 @@ class SweepService:
             }
         return {"apps": apps}
 
-    def stats_payload(self) -> Dict[str, Any]:
+    def stats_payload(self, cache_stats: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``/v1/stats`` body around the cache's ``stats_dict()``.
+
+        The caller reads ``cache_stats`` off the event loop: it takes
+        the cache lock and may ask a remote backend for its size.
+        """
         return {
             "status": "draining" if self._draining else "ok",
             "protocol": PROTOCOL_VERSION,
@@ -345,7 +350,7 @@ class SweepService:
                 "coalesced_waits": self._flight.coalesced_waits,
             },
             "apps": {"loaded": sorted(self._explorers)},
-            "cache": self.cache.stats_dict(),
+            "cache": cache_stats,
             "config": self.config.knobs(),
         }
 
@@ -363,6 +368,26 @@ class SweepService:
             for point, fingerprint in zip(points, fingerprints)
         ]
 
+    def _evaluate_batch(
+        self,
+        explorer: Explorer,
+        points: Sequence[DesignPoint],
+        fingerprints: Sequence[str],
+    ) -> Tuple[Dict[str, ExplorationRecord], Dict[str, str]]:
+        """Evaluate a batch (worker thread): records and skip errors.
+
+        A point the explorer skipped has no record; its failure is
+        negatively cached, so it is read back here, off the event loop.
+        """
+        records = explorer.evaluate_many(list(points), "service")
+        by_fingerprint = {record.fingerprint: record for record in records}
+        errors = {
+            fingerprint: self.cache.get_error(fingerprint) or "evaluation failed"
+            for fingerprint in fingerprints
+            if fingerprint not in by_fingerprint
+        }
+        return by_fingerprint, errors
+
     async def _evaluate_owned(
         self,
         explorer: Explorer,
@@ -378,24 +403,20 @@ class SweepService:
         """
         try:
             async with self._batch_sem:
-                records = await asyncio.to_thread(
-                    explorer.evaluate_many, list(points), "service"
+                by_fingerprint, errors = await asyncio.to_thread(
+                    self._evaluate_batch, explorer, points, fingerprints
                 )
         except BaseException as exc:
             for fingerprint in fingerprints:
                 self._flight.fail(fingerprint, exc)
             raise
-        by_fingerprint = {record.fingerprint: record for record in records}
         outcomes: Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]] = {}
         for fingerprint in fingerprints:
             record = by_fingerprint.get(fingerprint)
             if record is not None:
                 outcome: Outcome = (record.report, None)
             else:
-                # Skipped by the explorer: the failure is negatively
-                # cached, and the decoded mirror serves it loop-cheap.
-                error = self.cache.get_error(fingerprint) or "evaluation failed"
-                outcome = (None, error)
+                outcome = (None, errors[fingerprint])
             self._flight.resolve(fingerprint, outcome, request_id)
             outcomes[fingerprint] = (outcome, record)
         return outcomes
@@ -628,7 +649,7 @@ class SweepService:
             summary.oracle_calls = result.oracle_calls
             summary.stopped = result.stopped
             summary.stop_reason = result.stop_reason
-            summary.cache = self.cache.stats_dict()
+            summary.cache = await asyncio.to_thread(self.cache.stats_dict)
             yield end_event(summary.to_dict())
         finally:
             cancelled.set()
@@ -671,7 +692,7 @@ class SweepService:
                 )
                 for event in events:
                     yield event
-            summary.cache = self.cache.stats_dict()
+            summary.cache = await asyncio.to_thread(self.cache.stats_dict)
             yield end_event(summary.to_dict())
         finally:
             self._release(len(points))
@@ -948,7 +969,8 @@ class _ServerState:
             if route == ("GET", "/v1/health"):
                 await _send_json(writer, 200, service.health_payload())
             elif route == ("GET", "/v1/stats"):
-                await _send_json(writer, 200, service.stats_payload())
+                cache_stats = await asyncio.to_thread(service.cache.stats_dict)
+                await _send_json(writer, 200, service.stats_payload(cache_stats))
             elif route == ("GET", "/v1/apps"):
                 await _send_json(writer, 200, service.apps_payload())
             elif route == ("POST", "/v1/evaluate"):

@@ -120,6 +120,38 @@ class TestNoBlockingInAsync:
             """,
         )
 
+    def test_cache_facade_calls_on_the_loop(self):
+        # The sweep service's bug shape: end summaries and skip errors
+        # read through the cache facade inline, so a worker holding the
+        # cache lock across a hung remote round trip stalls the loop.
+        findings = _check(
+            "RA001",
+            """\
+            async def sweep_events(self, explorer, fingerprint):
+                summary = self.cache.stats_dict()
+                error = explorer.cache.get_error(fingerprint)
+                self._cache.store_many({})
+                return summary, error
+            """,
+        )
+        assert [f.line for f in findings] == [2, 3, 4]
+        assert "self.cache.stats_dict(...)" in findings[0].message
+        assert "explorer.cache.get_error(...)" in findings[1].message
+
+    def test_cache_facade_through_to_thread_is_clean(self):
+        # The fix shape: the facade method is referenced, not called,
+        # and non-facade methods or non-cache receivers stay quiet.
+        assert not _check(
+            "RA001",
+            """\
+            async def sweep_events(self, fingerprints):
+                summary = await asyncio.to_thread(self.cache.stats_dict)
+                self.pending.clear()
+                self.queue.flush()
+                return summary, self.cache.max_entries
+            """,
+        )
+
 
 # ----------------------------------------------------------------------
 # RA002 — lock held across await / blocking I/O

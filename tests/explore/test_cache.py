@@ -120,7 +120,7 @@ def test_disk_cache_tolerates_corrupted_shard(tmp_path):
     cache.put("abcd", _payload(1))
     shard = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
     shard.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
-    fresh = DiskCache(tmp_path)  # no in-memory mirror: must read the file
+    fresh = DiskCache(tmp_path)  # reads the corrupted file
     assert fresh.get("abcd") is None
     assert fresh.stats.corrupt == 1
     # The bad file is discarded so a rewrite repairs the entry.
@@ -220,13 +220,13 @@ def test_memory_cache_lookup_many_counts_like_get():
 def test_disk_cache_lookup_many_warm_batch(tmp_path):
     warm = DiskCache(tmp_path)
     warm.store_many({f"k{i:03d}": _payload(i) for i in range(6)})
-    fresh = DiskCache(tmp_path)  # cold mirror: entries come off disk
+    fresh = DiskCache(tmp_path)  # entries come off disk
     keys = [f"k{i:03d}" for i in range(6)] + ["missing1", "missing2"]
     found = fresh.lookup_many(keys)
     assert found == {f"k{i:03d}": _payload(i) for i in range(6)}
     assert fresh.stats.hits == 6
     assert fresh.stats.misses == 2
-    # A second bulk probe is served by the mirror.
+    # A second bulk probe reads the shards again, with the same stats.
     again = fresh.lookup_many([f"k{i:03d}" for i in range(6)])
     assert again == found
     assert fresh.stats.hits == 12
@@ -356,7 +356,7 @@ def test_disk_cache_lookup_many_sees_sibling_writes(tmp_path):
 def test_disk_cache_lookup_many_tolerates_vanished_file(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
-    fresh = DiskCache(tmp_path)  # indexes the entry, mirror still cold
+    fresh = DiskCache(tmp_path)  # indexes the entry
     (tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}").unlink()
     assert fresh.lookup_many(["abcd"]) == {}
     assert fresh.stats.misses == 1
@@ -528,41 +528,23 @@ def test_evaluation_cache_rejects_path_plus_backend(tmp_path):
 # ----------------------------------------------------------------------
 # DiskCache read-path regressions: mirror bound, negative probes
 # ----------------------------------------------------------------------
-def test_disk_cache_mirror_bounded_on_read_path(tmp_path):
-    """Reads must not grow the decoded mirror past ``max_entries``.
+def test_disk_cache_does_not_serve_entries_a_sibling_cleared(tmp_path):
+    """A cleared corpus stays cleared for every reader of the directory.
 
-    Regression: ``_load`` used to insert into the mirror with no cap,
-    so a bounded reader sweeping a large sibling-written corpus leaked
-    one decoded payload per distinct key read.
+    ``DiskCache`` keeps no in-memory payload copy: a reader that has
+    already served a key must report a miss once a sibling clears the
+    directory, on the single-key and the bulk path alike.
     """
-    writer = DiskCache(tmp_path / "c")
-    for i in range(12):
-        writer.put(f"key{i}", _payload(i))
+    reader = DiskCache(tmp_path / "c")
+    reader.put("abcd", _payload(1))
+    assert reader.get("abcd") == _payload(1)
+    assert reader.lookup_many(["abcd"]) == {"abcd": _payload(1)}
 
-    reader = DiskCache(tmp_path / "c", max_entries=4)
-    for i in range(12):
-        assert reader.get(f"key{i}") == _payload(i)
-    assert len(reader._mirror) <= 4
-    # The most recently read keys survived, LRU order intact.
-    assert list(reader._mirror) == [f"key{i}" for i in range(8, 12)]
+    DiskCache(tmp_path / "c").clear()  # a sibling process clears
 
-    bulk_reader = DiskCache(tmp_path / "c", max_entries=4)
-    found = bulk_reader.lookup_many([f"key{i}" for i in range(12)])
-    assert len(found) == 12
-    assert len(bulk_reader._mirror) <= 4
-
-
-def test_disk_cache_mirror_hits_refresh_recency(tmp_path):
-    writer = DiskCache(tmp_path / "c")
-    for i in range(4):
-        writer.put(f"key{i}", _payload(i))
-    reader = DiskCache(tmp_path / "c", max_entries=3)
-    for i in range(3):
-        reader.get(f"key{i}")
-    reader.get("key0")  # mirror hit: key0 becomes most recent
-    reader.get("key3")  # evicts the least recent (key1), not key0
-    assert "key0" in reader._mirror
-    assert "key1" not in reader._mirror
+    assert reader.get("abcd") is None
+    assert reader.lookup_many(["abcd"]) == {}
+    assert len(reader) == 0
 
 
 def test_disk_cache_negative_get_does_not_probe_files(tmp_path, monkeypatch):
@@ -588,10 +570,8 @@ def test_disk_cache_negative_get_does_not_probe_files(tmp_path, monkeypatch):
     assert reads == []  # misses resolved from the index alone
     assert cache.stats.misses == 5
 
-    # Present keys still read from disk (the writer's own mirror is
-    # warm, so probe through a fresh instance).
-    fresh = DiskCache(tmp_path / "c")
-    assert fresh.get("present") == _payload(1)
+    # Present keys still read from disk.
+    assert cache.get("present") == _payload(1)
     assert len(reads) == 1
 
 

@@ -250,5 +250,13 @@ def test_retain_records_off_keeps_explorer_stateless():
     assert len(records) == 14
     assert explorer.records == []
     assert explorer.failures == []
+    # No per-fingerprint memo of any kind outlives the batch: the
+    # shared cache is the only place evaluations are remembered.
+    grown = {
+        name: len(value)
+        for name, value in vars(explorer).items()
+        if isinstance(value, (dict, list, set)) and value
+    }
+    assert grown == {}
     # The cache still accumulated everything.
     assert explorer.cache.misses == 20

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.api import Explorer
+from repro.api import Explorer, MemoryCache
 from repro.explore.engine import ExplorationRecord
 from repro.service import (
     ServiceClient,
@@ -82,6 +82,59 @@ def test_stats_reflect_served_work(server, client):
     assert stats["apps"]["loaded"] == ["cavity"]
     assert stats["cache"]["misses"] == 2
     assert stats["config"]["batch_size"] == 4
+
+
+class StallingLenBackend(MemoryCache):
+    """A backend whose size query hangs until released.
+
+    Stands in for a ``RemoteCache`` whose ``LEN`` round trip waits on a
+    hung cache server: ``stats_dict()`` takes the cache lock and asks
+    the backend for its size.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __len__(self):
+        self.entered.set()
+        self.release.wait(timeout=30)
+        return super().__len__()
+
+
+def _read_stats(client):
+    return client.stats()
+
+
+def _run_sweep(client):
+    return list(client.sweep("cavity", variants=["baseline"], onchip_counts=[None]))
+
+
+@pytest.mark.parametrize(
+    "slow_call", [_read_stats, _run_sweep], ids=["stats", "sweep-summary"]
+)
+def test_blocked_cache_stats_do_not_stall_other_connections(slow_call):
+    backend = StallingLenBackend()
+    with ServiceThread(ServiceConfig(port=0), cache=backend) as thread:
+        outcome = []
+
+        def run_slow_call():
+            with ServiceClient(*thread.address) as slow:
+                outcome.append(slow_call(slow))
+
+        slow_thread = threading.Thread(target=run_slow_call, daemon=True)
+        slow_thread.start()
+        try:
+            assert backend.entered.wait(timeout=10)
+            start = time.monotonic()
+            with ServiceClient(*thread.address, timeout=1.0) as other:
+                assert other.health()["status"] == "ok"
+            assert time.monotonic() - start < 1.0
+        finally:
+            backend.release.set()
+        slow_thread.join(timeout=10)
+        assert outcome, "the slow request never completed"
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +414,7 @@ def test_eight_concurrent_clients_zero_duplicate_oracle_work(monkeypatch, server
     for summary in summaries:
         assert summary["records"] == CAVITY_RECORDS
         assert summary["failures"] == CAVITY_FAILURES
-    stats = server.service.stats_payload()
+    stats = server.service.stats_payload(server.service.cache.stats_dict())
     assert stats["points"]["records_served"] == 8 * CAVITY_RECORDS
     assert stats["points"]["failures_served"] == 8 * CAVITY_FAILURES
     # Every point beyond the one oracle pass was coalesced (awaited an
