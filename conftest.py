@@ -14,11 +14,19 @@ if str(_SRC) not in sys.path:
 
 
 def pytest_addoption(parser):
-    """Register the golden-file harness flag (see tests/golden/)."""
+    """Register the golden-file harness flag (see tests/golden/) and the
+    opt-in full allocation differential (tests/dtse/)."""
     parser.addoption(
         "--update-golden",
         action="store_true",
         default=False,
         help="rewrite tests/golden/*.json snapshots from live results "
         "instead of diffing against them",
+    )
+    parser.addoption(
+        "--full-differential",
+        action="store_true",
+        default=False,
+        help="also compare the allocator with its reference on every BTPC "
+        "variant, budget and on-chip count (about a minute more)",
     )

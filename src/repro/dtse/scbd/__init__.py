@@ -6,7 +6,7 @@ from .balancing import (
     clear_schedule_memo,
     schedule_memo_info,
 )
-from .conflict import ConcurrencySlot, ConflictGraph
+from .conflict import ConcurrencySlot, ConflictGraph, cofire_memo_info
 from .distribution import BudgetDistribution, distribute
 from .flowgraph import BodyFlowGraph, InfeasibleBudget, Occurrence
 
@@ -20,6 +20,7 @@ __all__ = [
     "Occurrence",
     "balance",
     "clear_schedule_memo",
+    "cofire_memo_info",
     "distribute",
     "schedule_memo_info",
 ]

@@ -24,8 +24,8 @@ Balanced schedules are memoized process-wide, keyed by graph content,
 budget, cost signature and the number of improvement passes: budget
 distribution probes the same (body, budget) pairs over and over, within
 one :func:`~.distribution.distribute` call and across design points.
-:func:`clear_schedule_memo` empties the memo (and the tables) so a
-measurement can start cold.
+:func:`clear_schedule_memo` empties the memo (and the tables, and the
+conflict graph's co-fire memo) so a measurement can start cold.
 """
 
 from __future__ import annotations
@@ -141,9 +141,13 @@ if hasattr(os, "register_at_fork"):
 
 
 def clear_schedule_memo() -> None:
-    """Forget every memoized schedule and cost table (cold measurements)."""
+    """Forget every memoized schedule and cost table, and every co-fire
+    count of the conflict graph's port sizing (cold measurements)."""
+    from .conflict import clear_cofire_memo  # conflict imports this module
+
     _SCHEDULES.clear()
     _TABLES.clear()
+    clear_cofire_memo()
 
 
 def schedule_memo_info() -> MemoInfo:

@@ -12,37 +12,134 @@ exclusive-class tags (see :func:`repro.ir.loops.are_exclusive`) never
 fire together, so they can share one port.  The demand of a slot is the
 largest set of pairwise *co-firing* accesses — a maximum clique over the
 co-fire relation, computed exactly (slots are small).
+
+Port demand runs on an interned view built once per graph: groups are
+bit positions, and every distinct slot keeps its (tag, group bit)
+entries in sorted order.  The demand of a memory is one filter of a
+slot's entries by the memory's group mask, and the filtered tags are
+already the sorted key of a process-wide co-fire memo (a maximum clique
+does not depend on the order of its vertices).
+:func:`~.balancing.clear_schedule_memo` also empties the co-fire memo.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from ...ir.loops import are_exclusive
-from .balancing import BodySchedule
+from .balancing import BodySchedule, MemoInfo
+
+#: Sorted tag tuples the co-fire memo holds before it starts over.
+COFIRE_MEMO_ENTRIES = 4096
+
+
+def _cofire_clique(tags: Tuple[str, ...]) -> int:
+    """Exact maximum co-firing subset of ``tags``.
+
+    Equal tags co-fire and have the same neighbours, so a maximum clique
+    takes every copy of each tag it uses: the search runs over distinct
+    tags weighted by their multiplicity.  Untagged accesses co-fire with
+    everything and join every clique.
+    """
+    counts = Counter(tags)
+    untagged = counts.pop("", 0)
+    distinct = list(counts)
+    weights = [counts[tag] for tag in distinct]
+    cofire = [
+        {
+            other
+            for other, tag_b in enumerate(distinct)
+            if other != vertex and not are_exclusive(tag_a, tag_b)
+        }
+        for vertex, tag_a in enumerate(distinct)
+    ]
+    best = 0
+
+    def extend(weight: int, candidates: List[int]) -> None:
+        nonlocal best
+        best = max(best, weight)
+        reachable = sum(weights[vertex] for vertex in candidates)
+        for index, vertex in enumerate(candidates):
+            if weight + reachable <= best:
+                return  # cannot beat the incumbent
+            reachable -= weights[vertex]
+            extend(
+                weight + weights[vertex],
+                [k for k in candidates[index + 1 :] if k in cofire[vertex]],
+            )
+
+    extend(0, list(range(len(distinct))))
+    return untagged + best
+
+
+class _CofireMemo:
+    """Sorted tag tuple -> maximum co-firing subset size.
+
+    Lock-free: a dict ``get`` or store is atomic under the GIL, racing
+    callers store the same value, and a full memo is emptied rather
+    than evicted, so no lock can be copied held into a forked child.
+    Under concurrent callers the bound may be overshot by one entry per
+    racing caller, and the hit/miss counters are advisory.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._entries: Dict[Tuple[str, ...], int] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, tags: Tuple[str, ...]) -> int:
+        """Co-fire count of ``tags``, which must be sorted."""
+        if len(tags) <= 1:
+            return len(tags)
+        best = self._entries.get(tags)
+        if best is not None:
+            self.hits += 1
+            return best
+        self.misses += 1
+        best = _cofire_clique(tags)
+        if len(self._entries) >= self.max_entries:
+            self._entries.clear()
+        self._entries[tags] = best
+        return best
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+    def info(self) -> MemoInfo:
+        return MemoInfo(self.hits, self.misses, len(self._entries), self.max_entries)
+
+
+_COFIRE = _CofireMemo(COFIRE_MEMO_ENTRIES)
+
+
+def clear_cofire_memo() -> None:
+    """Forget every memoized co-fire count."""
+    _COFIRE.clear()
+
+
+def cofire_memo_info() -> MemoInfo:
+    """Hits, misses and size of the process-wide co-fire memo."""
+    return _COFIRE.info()
 
 
 def max_cofire(tags: Sequence[str]) -> int:
     """Largest pairwise co-firing subset of exclusive-class tags.
 
-    Empty-string tags co-fire with everything.  Exact branch-and-bound
-    over the co-fire graph (inputs are per-cycle access lists: tiny).
+    Empty-string tags co-fire with everything.  Exact, and memoized
+    process-wide on the sorted tags (inputs are per-cycle access lists:
+    tiny, and the same few recur across slots, graphs and design
+    points).
     """
-    items = list(tags)
-    best = 0
+    return _COFIRE.lookup(tuple(sorted(tags)))
 
-    def extend(chosen: List[str], remaining: List[str]) -> None:
-        nonlocal best
-        best = max(best, len(chosen))
-        for index, tag in enumerate(remaining):
-            if len(chosen) + len(remaining) - index <= best:
-                return  # cannot beat the incumbent
-            if all(not are_exclusive(tag or None, c or None) for c in chosen):
-                extend(chosen + [tag], remaining[index + 1 :])
 
-    extend([], items)
-    return best
+#: One distinct slot of a graph's interned view: (entry count, group
+#: mask, sorted (tag, group bit) entries).
+_InternedSlot = Tuple[int, int, Tuple[Tuple[str, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -53,14 +150,6 @@ class ConcurrencySlot:
     cycle: int
     #: (group, exclusive_class) per occurrence scheduled in this slot.
     entries: Tuple[Tuple[str, str], ...]
-
-    def demand_for(self, groups: Iterable[str]) -> int:
-        """Simultaneous-port demand of a memory holding ``groups``."""
-        members = set(groups)
-        tags = [tag for group, tag in self.entries if group in members]
-        if len(tags) <= 1:
-            return len(tags)
-        return max_cofire(tags)
 
 
 class ConflictGraph:
@@ -74,6 +163,25 @@ class ConflictGraph:
         #: (a, b) with a <= b -> accumulated expected co-access traffic.
         self.edges: Dict[Tuple[str, str], float] = dict(edges)
         self.slots: Tuple[ConcurrencySlot, ...] = tuple(slots)
+        groups = sorted({group for slot in self.slots for group, _ in slot.entries})
+        #: Group -> its bit in a group mask (slot groups only: the rest
+        #: demand no ports).
+        self._bits: Dict[str, int] = {
+            group: 1 << position for position, group in enumerate(groups)
+        }
+        # Distinct slots, largest first: equal slots demand equal ports,
+        # and a slot's demand depends on a memory's groups only through
+        # the slot's own (its group mask: the sum of its distinct bits).
+        distinct = {
+            tuple(sorted((tag, self._bits[group]) for group, tag in slot.entries))
+            for slot in self.slots
+        }
+        self._slot_table: Tuple[_InternedSlot, ...] = tuple(
+            (len(entries), sum({bit for _, bit in entries}), entries)
+            for entries in sorted(
+                distinct, key=lambda entries: (-len(entries), entries)
+            )
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -126,10 +234,22 @@ class ConflictGraph:
 
     def ports_for(self, groups: Iterable[str]) -> int:
         """Ports a memory holding all of ``groups`` needs."""
-        members = tuple(groups)
+        bits = self._bits
+        mask = 0
+        for group in groups:
+            mask |= bits.get(group, 0)
         peak = 1
-        for slot in self.slots:
-            peak = max(peak, slot.demand_for(members))
+        for size, slot_mask, entries in self._slot_table:
+            if size <= peak:
+                break  # slots are largest first; none can raise the peak
+            members = mask & slot_mask
+            if not members:
+                continue
+            demand = _COFIRE.lookup(
+                tuple([tag for tag, bit in entries if bit & members])
+            )
+            if demand > peak:
+                peak = demand
         return peak
 
     def total_weight(self) -> float:
@@ -141,23 +261,16 @@ class ConflictGraph:
         The size of a greedily-grown clique in the hard-conflict graph:
         groups that all pairwise conflict cannot share any single-port
         memory, so at least that many parallel memories (or ports) are
-        needed.
+        needed.  Groups are tried by decreasing degree, ties by name.
         """
-        ordered = sorted(
-            self.groups(),
-            key=lambda g: -sum(
-                1 for other in self.groups() if self.are_conflicting(g, other)
-            ),
-        )
+        groups = self.groups()
+        degree = {
+            group: sum(1 for other in groups if self.are_conflicting(group, other))
+            for group in groups
+        }
         clique: List[str] = []
-        for group in ordered:
-            if group in clique:
-                continue
-            if all(
-                self.are_conflicting(group, member)
-                for member in clique
-                if member != group
-            ):
+        for group in sorted(groups, key=lambda g: (-degree[g], g)):
+            if all(self.are_conflicting(group, member) for member in clique):
                 clique.append(group)
         return max(1, len(clique))
 

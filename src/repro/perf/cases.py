@@ -38,8 +38,9 @@ oracle.  The BTPC sweep and oracle cases are tagged ``full``; the
 quick subset covers BTPC through ``frontier_vs_exhaustive_btpc``.
 
 The ``oracle_single_*``, ``sweep_cold_*``, ``sweep_parallel_*`` and
-``frontier_vs_*`` cases clear the SCBD schedule memo
-(:func:`~repro.dtse.scbd.clear_schedule_memo`) before every repeat, so
+``frontier_vs_*`` cases clear the oracle's process-wide memos (SCBD
+schedules and the conflict graph's co-fire counts, both emptied by
+:func:`~repro.dtse.scbd.clear_schedule_memo`) before every repeat, so
 each repeat times a cold oracle rather than memo hits.
 
 ``frontier_vs_exhaustive_cavity`` and
@@ -100,7 +101,7 @@ def _evals(explorer: Explorer) -> int:
 # ----------------------------------------------------------------------
 def _oracle_single(app: str) -> PerfCase:
     def setup() -> Any:
-        # Every repeat times a cold oracle, not schedule-memo hits.
+        # Every repeat times a cold oracle, not memo hits.
         clear_schedule_memo()
         explorer = Explorer.for_app(app)
         return explorer.request_for(explorer.space.points()[0])
